@@ -54,7 +54,6 @@ void fig08(unsigned jobs) {
   dse::SweepRequest request;
   request.sweep = std::move(sweep_jobs);
   request.jobs = jobs;
-  request.shards = benchutil::bench_shards();
   request.cache = benchutil::sweep_cache();
   const benchutil::WallTimer timer;
   const auto results = dse::run(request);

@@ -5,8 +5,7 @@
 // google-benchmark suite measuring the simulator machinery behind it.
 // ARA_BENCH_SCALE (env) scales workload invocation counts; default 0.5
 // keeps full-suite runtime moderate while leaving steady-state behaviour
-// unchanged. The shared flags — `--jobs N` (sweep workers), `--shards N`
-// (partitioned-kernel workers inside each simulation), `--metrics F`
+// unchanged. The shared flags — `--jobs N` (sweep workers), `--metrics F`
 // (stat-registry export) and `--cache DIR` (on-disk result memoization),
 // each with an ARA_* env fallback — are parsed once by parse_cli() via
 // common::CliOptions and stripped before google-benchmark sees argv.
@@ -48,10 +47,6 @@ inline std::optional<dse::ResultCache>& cache_storage() {
   static std::optional<dse::ResultCache> cache;
   return cache;
 }
-inline unsigned& shards_storage() {
-  static unsigned shards = 1;
-  return shards;
-}
 }  // namespace detail
 
 /// The process-wide ResultCache behind --cache / ARA_CACHE; null until
@@ -61,12 +56,7 @@ inline dse::ResultCache* sweep_cache() {
   return c.has_value() ? &*c : nullptr;
 }
 
-/// The --shards / ARA_SHARDS value parse_cli saw (default 1): partitioned-
-/// kernel workers inside every simulation the bench runs. Results are
-/// byte-identical for every value; only wall time changes.
-inline unsigned bench_shards() { return detail::shards_storage(); }
-
-/// Parse and strip the shared bench flags (--jobs / --shards / --metrics /
+/// Parse and strip the shared bench flags (--jobs / --metrics /
 /// --cache / --check, with ARA_* env fallbacks) out of argv —
 /// google-benchmark rejects flags it does not know. A --cache directory
 /// activates sweep_cache(); --check arms the invariant checker on every
@@ -74,9 +64,8 @@ inline unsigned bench_shards() { return detail::shards_storage(); }
 inline common::CliOptions parse_cli(int& argc, char** argv) {
   auto opts = common::CliOptions::parse(
       argc, argv,
-      common::CliOptions::kJobs | common::CliOptions::kShards |
-          common::CliOptions::kMetrics | common::CliOptions::kCache |
-          common::CliOptions::kCheck);
+      common::CliOptions::kJobs | common::CliOptions::kMetrics |
+          common::CliOptions::kCache | common::CliOptions::kCheck);
   if (!opts.ok()) {
     std::cerr << "error: " << opts.error << "\n";
     std::exit(2);
@@ -84,7 +73,6 @@ inline common::CliOptions parse_cli(int& argc, char** argv) {
   if (!opts.cache_dir.empty()) {
     detail::cache_storage().emplace(opts.cache_dir);
   }
-  detail::shards_storage() = opts.shards;
   if (opts.check) check::set_enabled(true);
   return opts;
 }
@@ -150,8 +138,7 @@ inline core::RunResult metered_point(const std::string& label,
   auto results =
       dse::run(dse::SweepRequest{}
                    .add(config, workload)
-                   .with_cache(sweep_cache())
-                   .with_shards(bench_shards()));
+                   .with_cache(sweep_cache()));
   MetricsSink::instance().record(label, std::move(results.front().metrics));
   return std::move(results.front().result);
 }

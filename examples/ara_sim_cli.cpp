@@ -7,7 +7,7 @@
 //   ara_sim [--bench NAME] [--islands N] [--net ring|proxy|chain]
 //           [--rings N] [--width BYTES] [--ports 1|2] [--sharing]
 //           [--scale F] [--mono] [--csv] [--trace FILE] [--metrics FILE]
-//           [--offline N] [--policy fifo|sjf|ljf] [--shards N] [--list]
+//           [--offline N] [--policy fifo|sjf|ljf] [--list]
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -43,8 +43,7 @@ void usage() {
       "  --csv            print the result as a CSV row\n"
       << ara::common::CliOptions::help(ara::common::CliOptions::kTrace |
                                        ara::common::CliOptions::kMetrics |
-                                       ara::common::CliOptions::kCheck |
-                                       ara::common::CliOptions::kShards);
+                                       ara::common::CliOptions::kCheck);
 }
 
 }  // namespace
@@ -55,7 +54,7 @@ int main(int argc, char** argv) {
   const auto cli = common::CliOptions::parse(
       argc, argv,
       common::CliOptions::kTrace | common::CliOptions::kMetrics |
-          common::CliOptions::kCheck | common::CliOptions::kShards);
+          common::CliOptions::kCheck);
   if (!cli.ok()) {
     std::cerr << "error: " << cli.error << "\n";
     return 2;
@@ -135,7 +134,6 @@ int main(int argc, char** argv) {
   try {
     const auto wl = workloads::make_benchmark(bench, scale);
     core::System system(cfg);
-    system.set_shards(cli.shards);
     for (std::uint32_t i = 0; i < offline && i < system.island_count(); ++i) {
       system.composer().set_island_offline(i, true);
     }

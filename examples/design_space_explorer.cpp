@@ -3,14 +3,12 @@
 // compute density — a miniature of the paper's Section 5 exploration that
 // users can point at their own workloads.
 //
-// Usage: design_space_explorer [benchmark] [--jobs N] [--shards N]
-//                              [--metrics FILE] [--cache DIR]
+// Usage: design_space_explorer [benchmark] [--jobs N] [--metrics FILE]
+//                              [--cache DIR]
 //   benchmark       one of the paper's seven workloads (default EKF-SLAM)
 // Shared flags (common::CliOptions; each has an ARA_* env fallback):
 //   --jobs N        parallel sweep workers (default: hardware concurrency;
 //                   every design point is an independent simulation)
-//   --shards N      partitioned-kernel workers inside each simulation
-//                   (default 1; results are byte-identical either way)
 //   --metrics FILE  write every point's full stat-registry snapshot as
 //                   labeled JSON ({"points":[{"label":..,"metrics":..}]})
 //   --cache DIR     memoize design points on disk: a re-run of the same
@@ -40,8 +38,7 @@ namespace {
 void usage(std::ostream& os) {
   os << "usage: design_space_explorer [benchmark] [options]\n"
      << ara::common::CliOptions::help(
-            ara::common::CliOptions::kJobs | ara::common::CliOptions::kShards |
-            ara::common::CliOptions::kMetrics |
+            ara::common::CliOptions::kJobs | ara::common::CliOptions::kMetrics |
             ara::common::CliOptions::kCache | ara::common::CliOptions::kCheck);
 }
 
@@ -52,9 +49,8 @@ int main(int argc, char** argv) {
 
   auto cli = common::CliOptions::parse(
       argc, argv,
-      common::CliOptions::kJobs | common::CliOptions::kShards |
-          common::CliOptions::kMetrics | common::CliOptions::kCache |
-          common::CliOptions::kCheck);
+      common::CliOptions::kJobs | common::CliOptions::kMetrics |
+          common::CliOptions::kCache | common::CliOptions::kCheck);
   if (!cli.ok()) {
     std::cerr << "error: " << cli.error << "\n";
     usage(std::cerr);
@@ -93,7 +89,6 @@ int main(int argc, char** argv) {
     }
   }
   request.jobs = cli.jobs;
-  request.shards = cli.shards;
 
   dse::ResultCache cache(cli.cache_dir);
   if (!cli.cache_dir.empty()) {

@@ -10,7 +10,6 @@
 #include "dse/sweep.h"
 #include "obs/metrics_export.h"
 #include "sim/rng.h"
-#include "sim/shard.h"
 
 namespace ara::check {
 
@@ -218,252 +217,6 @@ std::string cross_check(const FuzzPoint& point) {
              " was re-simulated instead of served from cache";
   }
   return {};
-}
-
-// ----------------------------------------------- sharded-kernel replica
-
-namespace {
-
-/// Deterministic hub-and-islands event script for the partitioned kernel.
-/// Every decision an event makes (follow-ups, cross sends, delays) is a
-/// pure function of its (site, id), never of execution order or any shared
-/// RNG, so the dispatch stream — and therefore the checksum — is identical
-/// for every worker count and window width.
-class ShardScript {
- public:
-  ShardScript(sim::ShardedSimulator* ssim, std::uint32_t sites,
-              Tick lookahead)
-      : ssim_(ssim), sites_(sites), lookahead_(lookahead) {}
-
-  /// Root events dealt round-robin across sites at seeded random ticks.
-  void seed_roots(std::uint64_t seed, int roots) {
-    sim::Rng rng(seed);
-    for (int i = 0; i < roots; ++i) {
-      const std::uint32_t site =
-          static_cast<std::uint32_t>(rng.next_below(sites_));
-      const Tick at = rng.next_below(400);
-      const std::uint64_t id = static_cast<std::uint64_t>(i) * 2 + 1;
-      ssim_->schedule_at(site, at, [this, site, id] { arm(site, id, 0); });
-    }
-  }
-
-  void arm(std::uint32_t site, std::uint64_t id, int depth) {
-    if (depth >= 4) return;
-    const std::uint64_t r =
-        (id ^ (site * 0xdeadbeef9e3779b9ull)) * 0x9e3779b97f4a7c15ull;
-    const Tick now = ssim_->site_now(site);
-    if (r % 10 < 6) {
-      const Tick at = now + 1 + static_cast<Tick>((r >> 16) % 50);
-      ssim_->schedule_at(
-          site, at, [this, site, id, depth] { arm(site, id * 31 + 7, depth + 1); });
-    }
-    if ((r >> 24) % 10 < 4) {
-      // Hub-and-spoke traffic: islands talk to the hub, the hub fans back
-      // out — the shape of ara's GAM/NoC coordination.
-      const std::uint32_t dst =
-          site == 0 ? 1 + static_cast<std::uint32_t>((r >> 32) % (sites_ - 1))
-                    : 0;
-      const Tick at = now + lookahead_ + static_cast<Tick>((r >> 44) % 30);
-      ssim_->send(site, dst, at,
-                  [this, dst, id, depth] { arm(dst, id * 37 + 11, depth + 1); });
-    }
-    if ((r >> 52) % 10 < 2) {
-      // Same-tick follow-up: seq order inside the merge must hold.
-      ssim_->schedule_at(
-          site, now,
-          [this, site, id, depth] { arm(site, id * 41 + 13, depth + 1); });
-    }
-  }
-
- private:
-  sim::ShardedSimulator* ssim_;
-  std::uint32_t sites_;
-  Tick lookahead_;
-};
-
-/// Every deterministic aggregate of one sharded run, for exact comparison.
-struct ShardFingerprint {
-  std::uint64_t checksum = 0;
-  std::uint64_t processed = 0;
-  std::uint64_t scheduled = 0;
-  std::uint64_t cross_sent = 0;
-  std::uint64_t cross_delivered = 0;
-  std::uint64_t windows = 0;
-  std::uint64_t idle = 0;
-  std::uint64_t peak = 0;
-
-  bool operator==(const ShardFingerprint& o) const {
-    return checksum == o.checksum && processed == o.processed &&
-           scheduled == o.scheduled && cross_sent == o.cross_sent &&
-           cross_delivered == o.cross_delivered && windows == o.windows &&
-           idle == o.idle && peak == o.peak;
-  }
-  std::string text() const {
-    std::ostringstream os;
-    os << "checksum=" << std::hex << checksum << std::dec
-       << " processed=" << processed << " scheduled=" << scheduled
-       << " cross=" << cross_sent << "/" << cross_delivered
-       << " windows=" << windows << " idle=" << idle << " peak=" << peak;
-    return os.str();
-  }
-};
-
-ShardFingerprint run_script(std::uint64_t seed, const sim::ShardOptions& so,
-                            int roots) {
-  sim::ShardedSimulator ssim(so);
-  ShardScript script(&ssim, so.sites, so.lookahead);
-  script.seed_roots(seed, roots);
-  ssim.run();
-  ShardFingerprint fp;
-  fp.checksum = ssim.checksum();
-  fp.processed = ssim.events_processed();
-  fp.scheduled = ssim.events_scheduled();
-  fp.cross_sent = ssim.cross_sent();
-  fp.cross_delivered = ssim.cross_delivered();
-  fp.windows = ssim.windows();
-  fp.idle = ssim.idle_site_windows();
-  fp.peak = ssim.channel_peak();
-  return fp;
-}
-
-/// Fixed negative probes (seed-independent): the fault-injection knobs must
-/// provably change what the differential battery observes, or the battery
-/// is vacuous.
-std::string shard_negative_checks() {
-  // A guaranteed cross-vs-local tick tie: the hub sends site 1 an event for
-  // tick 10, and site 1 also has a local event at tick 10. Clean order is
-  // cross-before-local; fault_invert_merge flips it and the checksum must
-  // move.
-  sim::ShardOptions so;
-  so.sites = 2;
-  so.lookahead = 10;
-  auto tie_run = [&](bool invert) {
-    sim::ShardOptions opts = so;
-    opts.fault_invert_merge = invert;
-    sim::ShardedSimulator ssim(opts);
-    ssim.schedule_at(1, 10, [] {});
-    ssim.schedule_at(0, 0, [&ssim] { ssim.send(0, 1, 10, [] {}); });
-    ssim.run();
-    return ssim.checksum();
-  };
-  if (tie_run(false) == tie_run(true)) {
-    return "negative probe: fault_invert_merge did NOT change the checksum "
-           "of a cross-vs-local tick tie — merge-order bugs would be "
-           "invisible";
-  }
-
-  // Lookahead violation, eager path: send() must throw immediately.
-  {
-    sim::ShardedSimulator ssim(so);
-    bool threw = false;
-    ssim.schedule_at(0, 5, [&ssim, &threw] {
-      try {
-        ssim.send(0, 1, 5, [] {});  // at < now + lookahead
-      } catch (const sim::LookaheadError&) {
-        threw = true;
-      }
-    });
-    ssim.run();
-    if (!threw) {
-      return "negative probe: a lookahead-violating send() was not rejected";
-    }
-  }
-
-  // Lookahead violation, barrier backstop: with the eager check faulted
-  // off, the merge-time causality check must still refuse to deliver the
-  // event behind the horizon.
-  {
-    sim::ShardOptions opts = so;
-    opts.fault_skip_lookahead_check = true;
-    sim::ShardedSimulator ssim(opts);
-    ssim.schedule_at(0, 5, [&ssim] { ssim.send(0, 1, 5, [] {}); });
-    // Give site 1 work in the same window so the violation cannot hide
-    // behind an idle site.
-    ssim.schedule_at(1, 6, [] {});
-    try {
-      ssim.run();
-      return "negative probe: a lookahead violation slipped past the "
-             "barrier backstop";
-    } catch (const sim::LookaheadError&) {
-      // expected
-    }
-  }
-  return {};
-}
-
-}  // namespace
-
-std::string shard_cross_check(const FuzzPoint& point) {
-  ScopedEnable invariants_on;
-
-  // Layer 1: the full System simulation of the point, re-run under the
-  // partitioned kernel at shards 2 and 4, byte-compared against the serial
-  // reference (RunResult, event counts, per-kind dispatch counts, and the
-  // exact MetricsSnapshot — including the sim.shard.* counters, which must
-  // not depend on the shard count).
-  auto run_shards =
-      [&](unsigned shards,
-          std::vector<dse::SweepResult>* out) -> std::string {
-    try {
-      dse::SweepRequest rq;
-      rq.add(point.config, point.workload);
-      rq.with_jobs(1).with_shards(shards);
-      *out = dse::run(rq);
-    } catch (const std::exception& e) {
-      return "shards=" + std::to_string(shards) + " run threw: " + e.what();
-    }
-    return {};
-  };
-  std::vector<dse::SweepResult> ref;
-  if (std::string err = run_shards(1, &ref); !err.empty()) return err;
-  for (unsigned shards : {2u, 4u}) {
-    std::vector<dse::SweepResult> got;
-    if (std::string err = run_shards(shards, &got); !err.empty()) return err;
-    const std::string d =
-        diff_results(got[0], ref[0], "shards=" + std::to_string(shards));
-    if (!d.empty()) return d;
-  }
-
-  // Layer 2: the kernel itself under genuine cross-site traffic. The
-  // topology is seed-derived; workers 1/2/4 and a narrowed window must all
-  // reproduce the same fingerprint bit for bit.
-  PointSampler rng(point.seed ^ 0x5bd1e995u);
-  sim::ShardOptions so;
-  so.sites = 2 + static_cast<std::uint32_t>(rng.pick(7));
-  so.lookahead = 2 + static_cast<Tick>(rng.pick(6));
-  const int roots = 24 + static_cast<int>(rng.pick(40));
-  so.workers = 1;
-  const ShardFingerprint want = run_script(point.seed, so, roots);
-  if (want.cross_sent == 0) {
-    return "shard script for seed " + std::to_string(point.seed) +
-           " generated no cross traffic — the differential is vacuous";
-  }
-  for (unsigned workers : {2u, 4u}) {
-    so.workers = workers;
-    const ShardFingerprint got = run_script(point.seed, so, roots);
-    if (!(got == want)) {
-      return "kernel replica at workers=" + std::to_string(workers) +
-             " diverged: " + got.text() + " vs " + want.text();
-    }
-  }
-  {
-    // Window-width invariance: the checksum and event counts must not move
-    // when the sync window narrows to a single tick (window/stall counters
-    // legitimately change, so compare the order-sensitive core only).
-    sim::ShardOptions narrow = so;
-    narrow.workers = 2;
-    narrow.window = 1;
-    const ShardFingerprint got = run_script(point.seed, narrow, roots);
-    if (got.checksum != want.checksum || got.processed != want.processed ||
-        got.cross_sent != want.cross_sent ||
-        got.cross_delivered != want.cross_delivered) {
-      return "kernel replica at window=1 diverged: " + got.text() + " vs " +
-             want.text();
-    }
-  }
-
-  // Layer 3: prove the battery can actually catch the bugs it exists for.
-  return shard_negative_checks();
 }
 
 std::string repro_text(const FuzzPoint& point, const FuzzLimits& limits,

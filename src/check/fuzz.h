@@ -67,21 +67,6 @@ FuzzPoint generate_point(std::uint64_t seed, const FuzzLimits& limits = {});
 /// description of the first divergence or invariant violation.
 std::string cross_check(const FuzzPoint& point);
 
-/// Sharded-replica differential for the partitioned kernel. Three layers,
-/// all deterministic from the point's seed:
-///  1. the point's sweep re-run with --shards 2 and 4, byte-compared
-///     against the serial (shards=1) reference exactly like cross_check;
-///  2. a synthetic hub-and-islands script with real cross-site traffic run
-///     through sim::ShardedSimulator at workers 1/2/4 (plus a narrowed
-///     window), cross-checked by dispatch checksum and every deterministic
-///     aggregate;
-///  3. negative probes: an injected merge-order inversion must flip the
-///     checksum, and a lookahead violation must throw LookaheadError both
-///     from the eager send() check and from the barrier backstop when the
-///     eager check is faulted off.
-/// Returns an empty string on success, else the first divergence.
-std::string shard_cross_check(const FuzzPoint& point);
-
 /// Human-readable repro file contents for a failing seed: the seed and
 /// limits to regenerate the point, the failure, and the canonical config /
 /// workload text the cache digest is built from.

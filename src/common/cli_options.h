@@ -23,15 +23,10 @@ struct CliOptions {
     kCache = 1u << 3,    // --cache DIR  | ARA_CACHE
     kCheck = 1u << 4,    // --check      | ARA_CHECK
     kLog = 1u << 5,      // --log FILE   | ARA_LOG
-    kShards = 1u << 6,   // --shards N   | ARA_SHARDS
   };
 
   /// Worker threads for parallel sweeps; 0 = hardware concurrency.
   unsigned jobs = 0;
-  /// Worker threads inside each simulated system (the partitioned event
-  /// kernel, sim/shard.h). 1 = classic serial kernel; 0 = hardware
-  /// concurrency. Results are byte-identical for every value.
-  unsigned shards = 1;
   /// Stat-registry export path ("" = off; ".csv" selects CSV).
   std::string metrics_file;
   /// Chrome-trace export path ("" = off).

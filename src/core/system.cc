@@ -5,7 +5,6 @@
 #include "check/check.h"
 #include "common/config_error.h"
 #include "power/energy_accounting.h"
-#include "sim/shard.h"
 
 namespace ara::core {
 
@@ -211,7 +210,7 @@ RunResult System::run(const workloads::Workload& workload) {
         sim::EventKind::kTraceSampler);
   }
 
-  run_kernel();
+  sim_.run();
   config_check(completed == workload.invocations,
                "simulation drained with incomplete jobs (deadlock?)");
 
@@ -258,39 +257,6 @@ RunResult System::run(const workloads::Workload& workload) {
   return r;
 }
 
-void System::run_kernel() {
-  // The shard plan is fixed by the architecture: one site per island plus
-  // the hub (GAM/NoC/MC) as site 0, with the NoC hop latency as the
-  // conservative lookahead. Today every model event lives on the hub — the
-  // composer orchestrates islands synchronously — so the plan has no cross
-  // edges and the runner collapses to one mega-window per site; the
-  // island-affine DNN/systolic workloads (ROADMAP item 3) are the first
-  // tenant of real cross traffic. Telemetry below is identical on both
-  // paths by construction, which the shard_test battery pins.
-  const bool had_work = sim_.pending() > 0;
-  if (shards_ == 1) {
-    sim_.run();
-    if (had_work) {
-      shard_windows_ += 1;
-      shard_idle_site_windows_ += config_.num_islands;
-    }
-    return;
-  }
-  sim::ShardOptions so;
-  so.sites = 1 + config_.num_islands;
-  so.lookahead = std::max<Tick>(1, config_.mesh.router_latency);
-  so.workers = shards_;
-  so.cross_traffic = false;
-  sim::ShardedSimulator sharded(so, &sim_);
-  sharded.run();
-  shard_windows_ += sharded.windows();
-  shard_cross_sent_ += sharded.cross_sent();
-  shard_cross_delivered_ += sharded.cross_delivered();
-  shard_channel_peak_ =
-      std::max<std::uint64_t>(shard_channel_peak_, sharded.channel_peak());
-  shard_idle_site_windows_ += sharded.idle_site_windows();
-}
-
 void System::snapshot_stats(Tick makespan) {
   stats_.set_counter("sim.ticks", makespan);
   stats_.set_counter("sim.events", sim_.events_processed());
@@ -301,12 +267,6 @@ void System::snapshot_stats(Tick makespan) {
             sim::event_kind_name(static_cast<sim::EventKind>(k)),
         kinds[k].count);
   }
-  stats_.set_counter("sim.shard.sites", shard_sites());
-  stats_.set_counter("sim.shard.windows", shard_windows_);
-  stats_.set_counter("sim.shard.cross.sent", shard_cross_sent_);
-  stats_.set_counter("sim.shard.cross.delivered", shard_cross_delivered_);
-  stats_.set_counter("sim.shard.channel.peak", shard_channel_peak_);
-  stats_.set_counter("sim.shard.idle_site_windows", shard_idle_site_windows_);
   stats_.set_counter("noc.flit_hops", mesh_->total_flit_hops());
   stats_.set_counter("noc.bytes_injected", mesh_->total_bytes_injected());
   stats_.set_counter("noc.packets", mesh_->total_packets());

@@ -38,33 +38,6 @@ class System {
   /// Execute `workload` to completion; returns the measured results.
   RunResult run(const workloads::Workload& workload);
 
-  /// Worker threads for the partitioned event kernel (--shards/ARA_SHARDS).
-  /// 1 (default) runs the classic serial kernel; N > 1 drives the run
-  /// through sim::ShardedSimulator with N workers; 0 resolves to the host's
-  /// hardware concurrency. Purely an execution-strategy knob: results,
-  /// stats and traces are byte-identical for every value (the differential
-  /// battery in tests/shard_test.cc and ara_fuzz enforces this). The
-  /// partition itself — one site per island plus a hub site — is fixed by
-  /// the architecture, not by this count; see DESIGN.md "Partitioned
-  /// kernel".
-  void set_shards(unsigned shards) { shards_ = shards; }
-  unsigned shards() const { return shards_; }
-
-  /// Cumulative partitioned-kernel telemetry (the sim.shard.* counters).
-  /// All values are deterministic functions of config + workload — never of
-  /// the shard/worker count — or MetricsSnapshot byte-identity across
-  /// --shards values would break.
-  std::uint64_t shard_sites() const { return 1 + config_.num_islands; }
-  std::uint64_t shard_windows() const { return shard_windows_; }
-  std::uint64_t cross_shard_sent() const { return shard_cross_sent_; }
-  std::uint64_t cross_shard_delivered() const {
-    return shard_cross_delivered_;
-  }
-  std::uint64_t shard_channel_peak() const { return shard_channel_peak_; }
-  std::uint64_t shard_idle_site_windows() const {
-    return shard_idle_site_windows_;
-  }
-
   /// --- component access (tests, benches) ---
   const ArchConfig& config() const { return config_; }
   sim::Simulator& simulator() { return sim_; }
@@ -107,10 +80,6 @@ class System {
  private:
   void place_components();
   void build_islands();
-  /// Drain the event queue for one run: the serial kernel at shards_ == 1,
-  /// the partitioned runner otherwise. Either way accumulates the
-  /// sim.shard.* telemetry for snapshot_stats.
-  void run_kernel();
   /// Wire set_stats/set_trace into every component + trace metadata.
   void setup_observability();
   /// Record one round of counter-track samples and reschedule while other
@@ -137,13 +106,6 @@ class System {
   std::vector<NodeId> core_nodes_;
   NodeId gam_node_ = 0;
   std::vector<std::vector<abb::AbbKind>> island_abbs_;
-
-  unsigned shards_ = 1;
-  std::uint64_t shard_windows_ = 0;
-  std::uint64_t shard_cross_sent_ = 0;
-  std::uint64_t shard_cross_delivered_ = 0;
-  std::uint64_t shard_channel_peak_ = 0;
-  std::uint64_t shard_idle_site_windows_ = 0;
 };
 
 }  // namespace ara::core

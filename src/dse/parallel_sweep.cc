@@ -47,7 +47,7 @@ class ErrorSlot {
   std::size_t index_ ARA_GUARDED_BY(mu_) = 0;
 };
 
-SweepResult run_one(const SweepJob& job, unsigned worker, unsigned shards) {
+SweepResult run_one(const SweepJob& job, unsigned worker) {
   config_check(job.workload != nullptr, "SweepJob has no workload");
   SweepResult out;
   out.worker = worker;
@@ -58,7 +58,6 @@ SweepResult run_one(const SweepJob& job, unsigned worker, unsigned shards) {
   obs::MonotonicClock& clock = obs::MonotonicClock::host();
   const std::uint64_t t0_ns = clock.now_ns();
   core::System system(job.config);
-  system.set_shards(shards);
   system.simulator().set_self_profiling(true);
   out.result = system.run(*job.workload);
   out.events = system.simulator().events_processed();
@@ -70,15 +69,14 @@ SweepResult run_one(const SweepJob& job, unsigned worker, unsigned shards) {
 
 }  // namespace
 
-ParallelSweepExecutor::ParallelSweepExecutor(unsigned jobs, unsigned shards)
-    : jobs_(resolve_jobs(jobs)), shards_(shards) {}
+ParallelSweepExecutor::ParallelSweepExecutor(unsigned jobs)
+    : jobs_(resolve_jobs(jobs)) {}
 
 std::vector<SweepResult> ParallelSweepExecutor::run(
     const std::vector<SweepJob>& sweep_jobs) const {
-  const unsigned shards = shards_;
   return run_with(sweep_jobs,
-                  [shards](const SweepJob& job, std::size_t, unsigned worker) {
-                    return run_one(job, worker, shards);
+                  [](const SweepJob& job, std::size_t, unsigned worker) {
+                    return run_one(job, worker);
                   });
 }
 

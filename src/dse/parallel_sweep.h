@@ -27,13 +27,10 @@ namespace ara::dse {
 class ParallelSweepExecutor {
  public:
   /// `jobs` = number of worker threads; 0 picks
-  /// std::thread::hardware_concurrency() (min 1). `shards` = partitioned-
-  /// kernel workers inside each simulated point (core::System::set_shards;
-  /// 1 = classic serial kernel) — like `jobs`, it cannot affect results.
-  explicit ParallelSweepExecutor(unsigned jobs = 0, unsigned shards = 1);
+  /// std::thread::hardware_concurrency() (min 1).
+  explicit ParallelSweepExecutor(unsigned jobs = 0);
 
   unsigned jobs() const { return jobs_; }
-  unsigned shards() const { return shards_; }
 
   /// Run every job; results land in input order. Worker threads never share
   /// simulator state. If any job throws, the pool stops claiming further
@@ -66,7 +63,6 @@ class ParallelSweepExecutor {
 
  private:
   unsigned jobs_;
-  unsigned shards_;
 };
 
 }  // namespace ara::dse

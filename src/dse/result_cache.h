@@ -13,8 +13,8 @@
 //  - on-disk (optional, `--cache DIR` / ARA_CACHE): one JSON file per key,
 //    written with 17-significant-digit doubles so RunResult round-trips
 //    bit-exactly (asserted by tests/result_cache_test.cc). Files are
-//    validated with obs::validate_json on load; corrupt or truncated files
-//    are treated as misses, never as errors.
+//    parsed with the strict obs::parse_json on load; corrupt or truncated
+//    files are treated as misses, never as errors.
 //
 // Host-dependent observability (wall seconds, self-profile seconds) is NOT
 // cached — a hit restores the deterministic fields (result, metrics, event
@@ -42,11 +42,11 @@ namespace ara::dse {
 /// 3 -> 4: Histogram::percentile now reports bucket midpoints (affects
 /// job_latency_p50/p95 in RunResult) and serialized histogram samples
 /// carry a "min" field — both change entry bytes.
-/// 4 -> 5: MetricsSnapshot gained the sim.shard.* partitioned-kernel
-/// counters, changing entry bytes. The shard/worker count itself is
-/// deliberately NOT in the key: results are byte-identical across shard
-/// counts, so warm entries serve every --shards value.
-inline constexpr std::uint64_t kSimVersionSalt = 5;
+/// 4 -> 5: MetricsSnapshot gained six partitioned-kernel counters,
+/// changing entry bytes.
+/// 5 -> 6: the partitioned kernel and its six counters were removed;
+/// simulation results are unchanged, but entry bytes lose those counters.
+inline constexpr std::uint64_t kSimVersionSalt = 6;
 
 class ResultCache {
  public:

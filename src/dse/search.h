@@ -90,10 +90,6 @@ struct SearchRequest {
   /// Worker threads per evaluation round; any value produces bit-identical
   /// results (the candidate schedule never depends on it).
   unsigned jobs = 1;
-  /// Partitioned-kernel workers inside each evaluation's simulation
-  /// (SweepRequest::shards). Execution resource like `jobs`: never part of
-  /// the schedule or the result bytes.
-  unsigned shards = 1;
   ResultCache* cache = nullptr;          // borrowed, optional
   PointCoalescer* coalescer = nullptr;   // borrowed, optional
   /// Optional trace: search charges optimizer rounds to the sample /

@@ -88,14 +88,6 @@ struct SweepRequest {
   /// Worker threads; 0 = hardware concurrency, 1 (default) = serial. Any
   /// value produces bit-identical results (each point owns its simulator).
   unsigned jobs = 1;
-  /// Partitioned-kernel workers *inside* each simulated point (the
-  /// sim::ShardedSimulator --shards knob; 0 = hardware concurrency, 1 =
-  /// classic serial kernel). Like `jobs`, purely an execution resource: any
-  /// value produces bit-identical results, and shard count is deliberately
-  /// NOT part of the cache key — a warm cache from a --shards 1 run serves
-  /// a --shards 4 request the same bytes, which the differential battery
-  /// exploits to cross-check the kernels against each other.
-  unsigned shards = 1;
   /// Optional memoization tier (borrowed, may be shared across requests):
   /// points whose (config, workload, salt) key hits are restored without
   /// simulating; misses are simulated and inserted.
@@ -128,10 +120,6 @@ struct SweepRequest {
   }
   SweepRequest& with_jobs(unsigned n) {
     jobs = n;
-    return *this;
-  }
-  SweepRequest& with_shards(unsigned n) {
-    shards = n;
     return *this;
   }
   SweepRequest& with_cache(ResultCache* c) {

@@ -27,9 +27,8 @@ std::uint64_t JsonValue::as_u64() const {
 
 namespace {
 
-/// Recursive-descent reader; mirrors the grammar of obs::validate_json
-/// (json_check.cc) but materializes a DOM. Depth-limited against
-/// pathological nesting.
+/// Recursive-descent reader materializing a DOM. Depth-limited so a
+/// pathological input cannot overflow the host stack.
 class Reader {
  public:
   explicit Reader(std::string_view text) : text_(text) {}
@@ -310,6 +309,11 @@ class Reader {
 bool parse_json(std::string_view text, JsonValue* out, std::string* error) {
   *out = JsonValue{};
   return Reader(text).run(out, error);
+}
+
+bool validate_json(std::string_view text, std::string* error) {
+  JsonValue dom;
+  return parse_json(text, &dom, error);
 }
 
 void json_escape(std::ostream& os, std::string_view s) {

@@ -1,11 +1,14 @@
 // Minimal JSON reader (DOM) + shared writer helpers, zero dependencies.
 //
-// The exporters in this module only ever needed to WRITE JSON; the DSE
-// result cache also needs to READ it back (RunResult + MetricsSnapshot
-// round-trip through the on-disk cache tier). parse_json() accepts the same
-// strict RFC 8259 grammar validate_json() enforces and builds a small DOM.
-// Numbers keep their raw source token so 64-bit counters (which do not fit
-// a double) and 17-digit doubles both round-trip exactly.
+// parse_json() is the one JSON grammar in the tree: exactly RFC 8259 —
+// one top-level value, no trailing content, no comments, no trailing
+// commas, no bare NaN/Inf, no raw control characters inside strings. The
+// DSE result cache and the serve protocol read through it, and
+// validate_json() is the same parse with the DOM discarded, so exporter
+// regressions (TraceCollector, MetricsExporter) fail tests and the CLI
+// smoke ctest instead of surfacing later as a Perfetto "could not parse"
+// error. Numbers keep their raw source token so 64-bit counters (which do
+// not fit a double) and 17-digit doubles both round-trip exactly.
 #pragma once
 
 #include <cstdint>
@@ -46,6 +49,11 @@ class JsonValue {
 /// returns false and fills `*error` (if non-null) with "offset N: ...".
 bool parse_json(std::string_view text, JsonValue* out,
                 std::string* error = nullptr);
+
+/// True when `text` is exactly one valid JSON value (plus whitespace):
+/// parse_json with the DOM discarded. On failure, `*error` (if non-null)
+/// gets the same "offset N: ..." message.
+bool validate_json(std::string_view text, std::string* error = nullptr);
 
 /// Writer helpers shared by MetricsExporter, TraceCollector-adjacent code
 /// and the result cache.

@@ -226,21 +226,6 @@ bool parse_empty_body(const obs::JsonValue& root, Request* out,
   return true;
 }
 
-/// Optional "shards" on sweep/search bodies: partitioned-kernel workers
-/// per simulated point. Pure execution resource (served bytes never depend
-/// on it), so the only validation is the kMaxShards thread-budget cap.
-bool take_shards(const obs::JsonValue& root, Request* out,
-                 std::string* error) {
-  std::uint32_t shards = 1;
-  if (!take_u32(root, "shards", &shards) || shards == 0 ||
-      shards > kMaxShards) {
-    *error = "\"shards\" must be an integer between 1 and 16";
-    return false;
-  }
-  out->shards = shards;
-  return true;
-}
-
 bool parse_sweep_body(const obs::JsonValue& root, Request* out,
                       std::string* error) {
   if (!take_string(root, "workload", &out->workload) ||
@@ -252,7 +237,6 @@ bool parse_sweep_body(const obs::JsonValue& root, Request* out,
     *error = "\"scale\" must be a positive number";
     return false;
   }
-  if (!take_shards(root, out, error)) return false;
   const obs::JsonValue* points = root.find("points");
   if (points == nullptr) {
     out->points.push_back(PointSpec{});
@@ -286,7 +270,6 @@ bool parse_search_body(const obs::JsonValue& root, Request* out,
     *error = "\"scale\" must be a positive number";
     return false;
   }
-  if (!take_shards(root, out, error)) return false;
   std::string objective = dse::objective_name(spec.objective);
   if (!take_string(root, "objective", &objective) ||
       !dse::objective_from_name(objective, &spec.objective)) {

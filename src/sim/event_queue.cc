@@ -184,21 +184,6 @@ bool Simulator::peek_next(Tick* at) {
   return true;
 }
 
-void Simulator::advance_to(Tick at) {
-  if (at < now_) {
-    throw ScheduleError("advance_to(" + std::to_string(at) +
-                        "): tick is in the past (now=" + std::to_string(now_) +
-                        ")");
-  }
-  Tick next;
-  if (peek_next(&next) && next < at) {
-    throw ScheduleError("advance_to(" + std::to_string(at) +
-                        "): would jump over a pending event at tick " +
-                        std::to_string(next));
-  }
-  now_ = at;
-}
-
 bool Simulator::run_until(Tick limit) {
   Tick next;
   while (peek_next(&next)) {

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "analyze_core.h"
-#include "obs/json_check.h"
+#include "obs/json_io.h"
 
 namespace ara::analyze {
 namespace {

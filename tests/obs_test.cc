@@ -9,7 +9,7 @@
 #include "core/arch_config.h"
 #include "core/system.h"
 #include "dse/parallel_sweep.h"
-#include "obs/json_check.h"
+#include "obs/json_io.h"
 #include "obs/metrics_export.h"
 #include "sim/trace.h"
 #include "workloads/registry.h"

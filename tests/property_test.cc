@@ -131,14 +131,35 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------- Whole-system properties across the design space ----------
 
+// gtest_discover_tests names each SystemProperty case after a byte dump of
+// its DesignPoint. The padding is spelled out as zeroed members so every byte
+// of that name is set: implicit padding is copied from whatever the stack
+// held, an address byte that moves with ASLR.
 struct DesignPoint {
-  std::uint32_t islands;
-  island::SpmDmaTopology topo;
-  std::uint32_t rings;
-  Bytes width;
-  bool sharing;
-  std::uint32_t ports;
+  std::uint32_t islands = 0;
+  island::SpmDmaTopology topo = island::SpmDmaTopology::kProxyXbar;
+  std::uint8_t topo_pad[3] = {};
+  std::uint32_t rings = 0;
+  std::uint32_t rings_pad = 0;
+  Bytes width = 0;
+  bool sharing = false;
+  std::uint8_t sharing_pad[3] = {};
+  std::uint32_t ports = 0;
 };
+static_assert(sizeof(DesignPoint) == 32, "DesignPoint has implicit padding");
+
+DesignPoint point(std::uint32_t islands, island::SpmDmaTopology topo,
+                  std::uint32_t rings, Bytes width, bool sharing,
+                  std::uint32_t ports) {
+  DesignPoint dp;
+  dp.islands = islands;
+  dp.topo = topo;
+  dp.rings = rings;
+  dp.width = width;
+  dp.sharing = sharing;
+  dp.ports = ports;
+  return dp;
+}
 
 class SystemProperty : public ::testing::TestWithParam<DesignPoint> {};
 
@@ -170,14 +191,13 @@ TEST_P(SystemProperty, WorkloadAlwaysCompletesWithInvariants) {
 INSTANTIATE_TEST_SUITE_P(
     DesignSpace, SystemProperty,
     ::testing::Values(
-        DesignPoint{3, island::SpmDmaTopology::kProxyXbar, 1, 32, false, 1},
-        DesignPoint{6, island::SpmDmaTopology::kRing, 1, 16, false, 1},
-        DesignPoint{6, island::SpmDmaTopology::kRing, 2, 32, false, 2},
-        DesignPoint{12, island::SpmDmaTopology::kChainingXbar, 1, 32, false,
-                    1},
-        DesignPoint{12, island::SpmDmaTopology::kRing, 3, 32, true, 1},
-        DesignPoint{24, island::SpmDmaTopology::kRing, 2, 32, false, 1},
-        DesignPoint{24, island::SpmDmaTopology::kProxyXbar, 1, 16, true, 2}));
+        point(3, island::SpmDmaTopology::kProxyXbar, 1, 32, false, 1),
+        point(6, island::SpmDmaTopology::kRing, 1, 16, false, 1),
+        point(6, island::SpmDmaTopology::kRing, 2, 32, false, 2),
+        point(12, island::SpmDmaTopology::kChainingXbar, 1, 32, false, 1),
+        point(12, island::SpmDmaTopology::kRing, 3, 32, true, 1),
+        point(24, island::SpmDmaTopology::kRing, 2, 32, false, 1),
+        point(24, island::SpmDmaTopology::kProxyXbar, 1, 16, true, 2)));
 
 // ---------- Determinism across the benchmark suite ----------
 

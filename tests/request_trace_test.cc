@@ -9,7 +9,6 @@
 #include <string>
 
 #include "obs/clock.h"
-#include "obs/json_check.h"
 #include "obs/json_io.h"
 #include "obs/request_log.h"
 #include "obs/span.h"

@@ -17,7 +17,7 @@
 #include "core/config_digest.h"
 #include "dse/result_cache.h"
 #include "dse/sweep.h"
-#include "obs/json_check.h"
+#include "obs/json_io.h"
 #include "workloads/registry.h"
 
 namespace ara::dse {

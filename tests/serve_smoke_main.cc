@@ -38,11 +38,10 @@
 //                       entry objects and search result blocks
 //                       byte-identical to the logged --jobs 2 daemon's
 //                       (tracing and worker counts never perturb results);
-//  13. sharding       — a sweep with "shards":4 (partitioned-kernel
-//                       workers) serves entry objects byte-identical to a
-//                       separate cold daemon simulating the same fresh
-//                       points unsharded, and out-of-range "shards" gets
-//                       a typed bad_request naming the field.
+//  13. legacy field   — a v1 sweep frame still carrying the retired
+//                       "shards" field is accepted, and its entry objects
+//                       are byte-identical to a separate cold daemon's
+//                       answer to the same frame without the field.
 //
 // Standalone binary (not gtest): it forks/execs and signals real
 // processes, which is cleaner outside the gtest harness. Any failure
@@ -63,7 +62,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/json_check.h"
 #include "obs/json_io.h"
 #include "serve/protocol.h"
 
@@ -608,45 +606,31 @@ int main(int argc, char** argv) {
             !result_cold.empty(),
         "search result block is byte-identical across --jobs 1/2 and "
         "cold/warm caches");
-  // ---- 13. sharded execution serves identical bytes ----
-  // "shards" picks the partitioned kernel's worker count per simulated
-  // point — an execution resource, deliberately not part of the cache
-  // key. The no-log daemon simulates fresh 8-island points at shards:4; a
-  // separate cold daemon simulates the same points unsharded; the served
-  // entry objects must be byte-identical.
-  const auto sharded_sweep = [](const std::string& client, unsigned islands,
-                                unsigned shards) {
-    return "{\"type\":\"sweep\",\"client\":\"" + client +
-           "\",\"workload\":\"Denoise\",\"scale\":0.03,\"shards\":" +
-           std::to_string(shards) + ",\"points\":[{\"islands\":" +
-           std::to_string(islands) +
-           ",\"rings\":1,\"width\":16},{\"islands\":" +
-           std::to_string(islands) + ",\"rings\":2,\"width\":32}]}";
-  };
-  std::string sharded;
-  check(fd3 >= 0 && round_trip(fd3, sharded_sweep("alice", 8, 4), &sharded) &&
-            sharded.find("\"type\":\"sweep_result\"") != std::string::npos &&
-            !all_points_flag(sharded, "from_cache"),
-        "shards:4 sweep of fresh 8-island points simulates and succeeds");
-  std::string bad_shards;
-  check(fd3 >= 0 &&
-            round_trip(fd3, sharded_sweep("alice", 8, 17), &bad_shards) &&
-            bad_shards.find("\"code\":\"bad_request\"") != std::string::npos &&
-            bad_shards.find("shards") != std::string::npos,
-        "shards:17 gets a typed bad_request naming the field");
+  // ---- 13. the retired "shards" field is accepted and ignored ----
+  // Earlier v1 clients sent "shards" on sweep frames; it is now an unknown
+  // body field. The no-log daemon simulates fresh 8-island points from a
+  // frame carrying "shards":4; a separate cold daemon simulates the same
+  // frame without it; the served entry objects must be byte-identical.
+  std::string legacy_frame = sweep_request("alice", 8);
+  legacy_frame.insert(legacy_frame.size() - 1, ",\"shards\":4");
+  std::string legacy;
+  check(fd3 >= 0 && round_trip(fd3, legacy_frame, &legacy) &&
+            legacy.find("\"type\":\"sweep_result\"") != std::string::npos &&
+            !all_points_flag(legacy, "from_cache"),
+        "sweep frame with \"shards\":4 simulates fresh points and succeeds");
 
   const std::string socket4 = out_dir + "/ara_serve_serial.sock";
   const pid_t server4 =
       spawn_server(server_binary, socket4, "", "8", {"--jobs", "1"});
   const int fd4 = connect_retry(socket4);
-  check(fd4 >= 0, "unsharded reference daemon came up");
-  std::string serial;
-  check(fd4 >= 0 && round_trip(fd4, sweep_request("alice", 8), &serial) &&
-            serial.find("\"type\":\"sweep_result\"") != std::string::npos,
-        "reference daemon sweeps the same 8-island points unsharded");
-  check(!extract_entries(sharded).empty() &&
-            extract_entries(sharded) == extract_entries(serial),
-        "shards:4 entries are byte-identical to the unsharded run's");
+  check(fd4 >= 0, "reference daemon came up");
+  std::string plain;
+  check(fd4 >= 0 && round_trip(fd4, sweep_request("alice", 8), &plain) &&
+            plain.find("\"type\":\"sweep_result\"") != std::string::npos,
+        "reference daemon sweeps the same frame without \"shards\"");
+  check(!extract_entries(legacy).empty() &&
+            extract_entries(legacy) == extract_entries(plain),
+        "entries with and without \"shards\" are byte-identical");
   if (fd4 >= 0) ::close(fd4);
   ::kill(server4, SIGTERM);
   int status4 = 0;

@@ -14,6 +14,7 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,7 +26,6 @@
 #include "dse/search.h"
 #include "dse/sweep.h"
 #include "obs/clock.h"
-#include "obs/json_check.h"
 #include "obs/json_io.h"
 #include "obs/span.h"
 #include "serve/protocol.h"
@@ -245,41 +245,50 @@ TEST(Protocol, RejectsOutOfRangeAndNonIntegralPointFields) {
   EXPECT_EQ(req.points.at(0).islands, 4294967295u);
 }
 
-TEST(Protocol, ShardsFieldIsOptionalAndValidated) {
-  Request req;
-  std::string error;
-  // Absent -> the unsharded default, on both request kinds.
-  ASSERT_TRUE(protocol::parse_request(
-      "{\"type\":\"sweep\",\"workload\":\"D\"}", &req, &error));
-  EXPECT_EQ(req.shards, 1u);
-  ASSERT_TRUE(protocol::parse_request(
-      "{\"type\":\"search\",\"workload\":\"D\"}", &req, &error));
-  EXPECT_EQ(req.shards, 1u);
+/// Every parsed field of a Request as text, so two parses compare whole.
+std::string request_fingerprint(const Request& r) {
+  std::ostringstream os;
+  os << static_cast<int>(r.kind) << '|' << r.v << '|' << r.client << '|'
+     << r.workload << '|' << r.scale << '|';
+  for (const PointSpec& p : r.points) os << p.label() << ';';
+  const dse::SearchSpec& s = r.search;
+  os << '|' << s.workload << '|' << s.scale << '|'
+     << dse::objective_name(s.objective) << '|' << s.budget << '|' << s.seed
+     << '|';
+  const dse::SearchSpace& sp = s.space;
+  for (auto v : sp.islands) os << v << ',';
+  for (const auto& v : sp.nets) os << v << ',';
+  for (auto v : sp.rings) os << v << ',';
+  for (auto v : sp.widths) os << v << ',';
+  for (auto v : sp.ports) os << v << ',';
+  for (bool v : sp.sharing) os << v << ',';
+  for (bool v : sp.mono) os << v << ',';
+  for (const auto& v : sp.policies) os << v << ',';
+  return os.str();
+}
 
-  ASSERT_TRUE(protocol::parse_request(
-      "{\"type\":\"sweep\",\"workload\":\"D\",\"shards\":4}", &req, &error))
-      << error;
-  EXPECT_EQ(req.shards, 4u);
-  ASSERT_TRUE(protocol::parse_request(
-      "{\"type\":\"search\",\"workload\":\"D\",\"shards\":16}", &req,
-      &error))
-      << error;
-  EXPECT_EQ(req.shards, protocol::kMaxShards);
-
-  // Zero, past the cap, non-integral and non-numeric all reject with an
-  // error naming the field (a bad worker count must not silently fall
-  // back to serial execution).
-  const char* bad[] = {
-      "{\"type\":\"sweep\",\"workload\":\"D\",\"shards\":0}",
-      "{\"type\":\"sweep\",\"workload\":\"D\",\"shards\":17}",
-      "{\"type\":\"search\",\"workload\":\"D\",\"shards\":0}",
-      "{\"type\":\"sweep\",\"workload\":\"D\",\"shards\":2.5}",
-      "{\"type\":\"sweep\",\"workload\":\"D\",\"shards\":\"four\"}",
+TEST(Protocol, LegacyShardsFieldIsAcceptedAndIgnored) {
+  // v1 clients once sent a "shards" worker count on sweep and search. The
+  // field is now an unknown body field: any value parses to exactly the
+  // Request the frame without it produces.
+  const std::string frames[] = {
+      "{\"type\":\"sweep\",\"client\":\"c\",\"workload\":\"Denoise\","
+      "\"scale\":0.05,\"points\":[{\"islands\":6,\"net\":\"chain\"}]",
+      "{\"type\":\"search\",\"workload\":\"Denoise\",\"scale\":0.05,"
+      "\"objective\":\"perf_per_area\",\"budget\":8,\"seed\":7,"
+      "\"space\":{\"islands\":[3,6],\"rings\":[1,2]}",
   };
-  for (const char* text : bad) {
-    error.clear();
-    EXPECT_FALSE(protocol::parse_request(text, &req, &error)) << text;
-    EXPECT_NE(error.find("shards"), std::string::npos) << text;
+  for (const std::string& body : frames) {
+    Request plain;
+    std::string error;
+    ASSERT_TRUE(protocol::parse_request(body + "}", &plain, &error)) << error;
+    for (const char* shards : {"4", "0", "17"}) {
+      const std::string text = body + ",\"shards\":" + shards + "}";
+      Request got;
+      ASSERT_TRUE(protocol::parse_request(text, &got, &error))
+          << text << ": " << error;
+      EXPECT_EQ(request_fingerprint(got), request_fingerprint(plain)) << text;
+    }
   }
 }
 

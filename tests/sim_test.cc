@@ -75,6 +75,24 @@ TEST(Simulator, RunUntilExecutesEventsAtLimit) {
   EXPECT_EQ(fired, 1);
 }
 
+TEST(Simulator, RunUntilPeeksEarliestTickAcrossWheelAndOverflow) {
+  Simulator s;
+  EXPECT_TRUE(s.run_until(5));  // nothing pending: drained at once
+  int fired = 0;
+  // Scheduled out of order; the far event lives in the overflow heap.
+  s.schedule_at(1u << 20, [&] { ++fired; });
+  s.schedule_at(40, [&] { ++fired; });
+  s.schedule_at(7, [&] { ++fired; });
+  EXPECT_FALSE(s.run_until(6));
+  EXPECT_EQ(fired, 0);
+  EXPECT_FALSE(s.run_until(1u << 19));
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(s.now(), Tick{1} << 19);
+  EXPECT_TRUE(s.run_until(1u << 20));
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(s.now(), Tick{1} << 20);
+}
+
 TEST(Simulator, CountsEvents) {
   Simulator s;
   for (int i = 0; i < 7; ++i) s.schedule_at(i, [] {});

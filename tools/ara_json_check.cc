@@ -11,7 +11,7 @@
 #include <sstream>
 #include <string>
 
-#include "obs/json_check.h"
+#include "obs/json_io.h"
 
 int main(int argc, char** argv) {
   if (argc < 2) {

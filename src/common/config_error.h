@@ -3,6 +3,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace ara {
 
@@ -16,7 +17,8 @@ class ConfigError : public std::runtime_error {
   explicit ConfigError(const std::string& what);
 };
 
-/// Throws ConfigError with `message` when `ok` is false.
-void config_check(bool ok, const std::string& message);
+/// Throws ConfigError with `message` when `ok` is false. The message is a
+/// view, so a passing check with a literal message allocates nothing.
+void config_check(bool ok, std::string_view message);
 
 }  // namespace ara

@@ -1,10 +1,12 @@
 #include "dse/result_cache.h"
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "core/config_digest.h"
 #include "obs/json_io.h"
@@ -65,6 +67,158 @@ bool get(const obs::JsonValue& obj, const char* name, std::string* out) {
   if (v == nullptr || !v->is_string()) return false;
   *out = v->text;
   return true;
+}
+
+// --- Packed memory-tier format ---
+//
+// An entry is stored as one byte string: LEB128 varints for integers and
+// lengths, the raw 8 bytes of each double (bit-exact, NaN payloads and
+// signed zeros included) and length-prefixed names. Per-kind seconds are
+// host wall-clock and are not stored. code_entry() walks the fields once
+// for both directions, so the writer and reader cannot disagree on order.
+
+class Packer {
+ public:
+  explicit Packer(std::string* out) : out_(out) {}
+
+  void operator()(std::uint64_t v) {
+    while (v >= 0x80) {
+      out_->push_back(static_cast<char>((v & 0x7f) | 0x80));
+      v >>= 7;
+    }
+    out_->push_back(static_cast<char>(v));
+  }
+  void operator()(double v) {
+    char raw[sizeof v];
+    std::memcpy(raw, &v, sizeof v);
+    out_->append(raw, sizeof v);
+  }
+  void operator()(const std::string& v) {
+    (*this)(static_cast<std::uint64_t>(v.size()));
+    out_->append(v);
+  }
+  template <class T, class Fn>
+  void list(const std::vector<T>& items, Fn&& fn) {
+    (*this)(static_cast<std::uint64_t>(items.size()));
+    for (const T& item : items) fn(item);
+  }
+
+ private:
+  std::string* out_;
+};
+
+/// Reads only what Packer wrote in this process, so it does no bounds
+/// checks of its own.
+class Unpacker {
+ public:
+  explicit Unpacker(const std::string& in) : p_(in.data()) {}
+
+  void operator()(std::uint64_t& v) {
+    v = 0;
+    for (int shift = 0;; shift += 7) {
+      const auto byte = static_cast<unsigned char>(*p_++);
+      v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) break;
+    }
+  }
+  void operator()(double& v) {
+    std::memcpy(&v, p_, sizeof v);
+    p_ += sizeof v;
+  }
+  void operator()(std::string& v) {
+    std::uint64_t n = 0;
+    (*this)(n);
+    v.assign(p_, n);
+    p_ += n;
+  }
+  template <class T, class Fn>
+  void list(std::vector<T>& items, Fn&& fn) {
+    std::uint64_t n = 0;
+    (*this)(n);
+    items.resize(n);
+    for (T& item : items) fn(item);
+  }
+
+ private:
+  const char* p_;
+};
+
+template <class Coder, class E>
+void code_entry(Coder& c, E& e) {
+  auto& r = e.result;
+  c(r.workload);
+  c(r.config);
+  c(r.makespan);
+  c(r.jobs);
+  c(r.energy.abb_j);
+  c(r.energy.spm_j);
+  c(r.energy.abb_spm_xbar_j);
+  c(r.energy.island_net_j);
+  c(r.energy.dma_j);
+  c(r.energy.noc_j);
+  c(r.energy.l2_j);
+  c(r.energy.dram_j);
+  c(r.energy.mono_j);
+  c(r.energy.leakage_j);
+  c(r.energy.platform_j);
+  c(r.area.islands_mm2);
+  c(r.area.noc_mm2);
+  c(r.area.l2_mm2);
+  c(r.area.mc_mm2);
+  c(r.avg_abb_utilization);
+  c(r.peak_abb_utilization);
+  c(r.l2_hit_rate);
+  c(r.dram_bytes);
+  c(r.chains_direct);
+  c(r.chains_spilled);
+  c(r.tasks_queued);
+  c(r.noc_peak_link_utilization);
+  c(r.job_latency_mean);
+  c(r.job_latency_p50);
+  c(r.job_latency_p95);
+  c(r.job_latency_max);
+  c(e.events);
+  for (auto& kind : e.event_kinds) c(kind.count);
+  auto& m = e.metrics;
+  c.list(m.counters, [&c](auto& s) {
+    c(s.name);
+    c(s.value);
+  });
+  c.list(m.accumulators, [&c](auto& s) {
+    c(s.name);
+    c(s.sum);
+    c(s.count);
+    c(s.mean);
+    c(s.min);
+    c(s.max);
+  });
+  c.list(m.histograms, [&c](auto& s) {
+    c(s.name);
+    c(s.count);
+    c(s.mean);
+    c(s.min);
+    c(s.max);
+    c(s.p50);
+    c(s.p95);
+    c(s.p99);
+    c(s.bucket_width);
+    c.list(s.buckets, [&c](auto& b) { c(b); });
+  });
+}
+
+std::string pack(const ResultCache::Entry& entry) {
+  std::string out;
+  Packer packer(&out);
+  code_entry(packer, entry);
+  out.shrink_to_fit();  // entries live as long as the cache
+  return out;
+}
+
+void unpack(const std::string& packed, ResultCache::Entry* out) {
+  ResultCache::Entry e;
+  Unpacker unpacker(packed);
+  code_entry(unpacker, e);
+  *out = std::move(e);
 }
 
 }  // namespace
@@ -237,14 +391,20 @@ bool ResultCache::from_json(const std::string& text, std::uint64_t key,
 }
 
 bool ResultCache::lookup(std::uint64_t key, Entry* out) {
+  std::string packed;
+  bool in_memory = false;
   {
     common::MutexLock lock(mu_);
     auto it = memory_.find(key);
     if (it != memory_.end()) {
-      *out = it->second;
+      packed = it->second;  // decode outside the lock
+      in_memory = true;
       ++hits_;
-      return true;
     }
+  }
+  if (in_memory) {
+    unpack(packed, out);
+    return true;
   }
   if (!dir_.empty()) {
     std::ifstream in(entry_path(key));
@@ -253,8 +413,9 @@ bool ResultCache::lookup(std::uint64_t key, Entry* out) {
       buf << in.rdbuf();
       Entry e;
       if (from_json(buf.str(), key, salt_, &e)) {
+        packed = pack(e);
         common::MutexLock lock(mu_);
-        memory_[key] = e;
+        memory_[key] = std::move(packed);
         ++hits_;
         ++disk_hits_;
         *out = std::move(e);
@@ -288,16 +449,17 @@ void ResultCache::write_disk_entry(std::uint64_t key,
 }
 
 void ResultCache::insert(std::uint64_t key, const Entry& entry) {
-  Entry clean = entry;
-  for (auto& k : clean.event_kinds) k.seconds = 0;  // host-dependent
+  // Neither tier stores the host-dependent per-kind seconds: to_json and
+  // pack write only the counts.
   if (!dir_.empty()) {
     // All writers share the "<path>.tmp" scratch name; concurrent inserts
     // of the same key must not interleave bytes in it (see disk_mu_).
     common::MutexLock lock(disk_mu_);
-    write_disk_entry(key, clean);
+    write_disk_entry(key, entry);
   }
+  std::string packed = pack(entry);
   common::MutexLock lock(mu_);
-  memory_[key] = std::move(clean);
+  memory_[key] = std::move(packed);
 }
 
 std::uint64_t ResultCache::hits() const {

@@ -9,7 +9,10 @@
 // semantics change so stale entries miss instead of lying).
 //
 // Two tiers:
-//  - in-process: an unordered_map, always on, mutex-protected;
+//  - in-process: always on, mutex-protected; each entry is stored once as
+//    a packed byte string (LEB128 integers, raw 8-byte doubles, length-
+//    prefixed names, no per-kind seconds), a fraction of a decoded Entry's
+//    heap; lookup() decodes it;
 //  - on-disk (optional, `--cache DIR` / ARA_CACHE): one JSON file per key,
 //    written with 17-significant-digit doubles so RunResult round-trips
 //    bit-exactly (asserted by tests/result_cache_test.cc). Files are
@@ -56,8 +59,8 @@ class ResultCache {
     obs::MetricsSnapshot metrics;
     /// Events the point's Simulator executed (deterministic).
     std::uint64_t events = 0;
-    /// Per-kind dispatch counts. Seconds are host wall-clock and are
-    /// zeroed on insert — they never round-trip through the cache.
+    /// Per-kind dispatch counts. Seconds are host wall-clock and are not
+    /// stored — a hit reports them as 0.
     std::array<sim::EventKindStats, sim::kNumEventKinds> event_kinds{};
   };
 
@@ -112,7 +115,8 @@ class ResultCache {
   std::uint64_t salt_ = kSimVersionSalt;
 
   mutable common::Mutex mu_;
-  std::unordered_map<std::uint64_t, Entry> memory_ ARA_GUARDED_BY(mu_);
+  /// Packed entries (format private to result_cache.cc).
+  std::unordered_map<std::uint64_t, std::string> memory_ ARA_GUARDED_BY(mu_);
   std::uint64_t hits_ ARA_GUARDED_BY(mu_) = 0;
   std::uint64_t misses_ ARA_GUARDED_BY(mu_) = 0;
   std::uint64_t disk_hits_ ARA_GUARDED_BY(mu_) = 0;

@@ -12,6 +12,7 @@ Mesh::Mesh(const MeshConfig& config) : config_(config) {
                "mesh dimensions must be positive");
   config_check(config.chunk_bytes > 0, "mesh chunk size must be positive");
   routers_.reserve(static_cast<std::size_t>(config.width) * config.height);
+  route_.reserve(config.width + config.height - 1);  // longest XY route
   for (std::uint32_t y = 0; y < config.height; ++y) {
     for (std::uint32_t x = 0; x < config.width; ++x) {
       routers_.push_back(std::make_unique<Router>(
@@ -27,30 +28,30 @@ std::uint32_t Mesh::hops(NodeId src, NodeId dst) const {
   return static_cast<std::uint32_t>(std::llabs(dx) + std::llabs(dy));
 }
 
-std::vector<Mesh::Hop> Mesh::route(NodeId src, NodeId dst) const {
-  std::vector<Hop> hops;
+void Mesh::route(NodeId src, NodeId dst) {
+  route_.clear();
   std::uint32_t x = x_of(src), y = y_of(src);
   const std::uint32_t tx = x_of(dst), ty = y_of(dst);
   // X first, then Y (deterministic, deadlock-free dimension order).
   while (x != tx) {
     const Direction d = tx > x ? Direction::kEast : Direction::kWest;
-    hops.push_back({node_at(x, y), d});
+    route_.push_back({node_at(x, y), d});
     x = tx > x ? x + 1 : x - 1;
   }
   while (y != ty) {
     const Direction d = ty > y ? Direction::kSouth : Direction::kNorth;
-    hops.push_back({node_at(x, y), d});
+    route_.push_back({node_at(x, y), d});
     y = ty > y ? y + 1 : y - 1;
   }
-  hops.push_back({dst, Direction::kLocal});  // ejection
-  return hops;
+  route_.push_back({dst, Direction::kLocal});  // ejection
 }
 
 Tick Mesh::transfer(Tick ready_at, NodeId src, NodeId dst, Bytes bytes) {
   config_check(src < node_count() && dst < node_count(),
                "mesh transfer endpoints out of range");
   if (bytes == 0) return ready_at;
-  const auto path = route(src, dst);
+  route(src, dst);
+  const std::vector<Hop>& path = route_;
 
   // Flit accounting for the energy model: every chunk is flitized on every
   // hop it traverses.

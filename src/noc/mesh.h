@@ -74,10 +74,13 @@ class Mesh {
     NodeId router;
     Direction out;
   };
-  std::vector<Hop> route(NodeId src, NodeId dst) const;
+  /// Fill route_ with the XY route from `src` to `dst`.
+  void route(NodeId src, NodeId dst);
 
   MeshConfig config_;
   std::vector<std::unique_ptr<Router>> routers_;
+  /// route()'s output, reused by every transfer so none allocates.
+  std::vector<Hop> route_;
   std::uint64_t flit_hops_ = 0;
   Bytes bytes_injected_ = 0;
   std::uint64_t packets_ = 0;

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
+#include <utility>
 
 #include "common/config_error.h"
 #include "dse/result_cache.h"
@@ -466,7 +467,7 @@ std::string stats_response(const obs::MetricsSnapshot& snapshot) {
   return os.str();
 }
 
-std::string sweep_response(const std::vector<dse::SweepResult>& results,
+std::string sweep_response(std::vector<dse::SweepResult> results,
                            const std::vector<std::uint64_t>& keys,
                            std::uint64_t salt, std::uint64_t trace_id) {
   std::ostringstream os;
@@ -475,19 +476,21 @@ std::string sweep_response(const std::vector<dse::SweepResult>& results,
   if (trace_id != 0) os << "\"trace_id\":" << trace_id << ",";
   os << "\"points\":[";
   for (std::size_t i = 0; i < results.size(); ++i) {
-    const dse::SweepResult& r = results[i];
+    dse::SweepResult& r = results[i];
     if (i > 0) os << ",";
     os << "{\"from_cache\":" << (r.from_cache ? "true" : "false")
        << ",\"coalesced\":" << (r.coalesced ? "true" : "false")
        << ",\"wall_seconds\":";
     obs::json_number(os, r.wall_seconds, 17);
     os << ",\"entry\":";
+    // The point's result and metrics move into the entry: `results` is
+    // this function's own copy. to_json writes only the per-kind counts,
+    // never the host-dependent seconds.
     dse::ResultCache::Entry entry;
-    entry.result = r.result;
-    entry.metrics = r.metrics;
+    entry.result = std::move(r.result);
+    entry.metrics = std::move(r.metrics);
     entry.events = r.events;
     entry.event_kinds = r.event_kinds;
-    for (auto& k : entry.event_kinds) k.seconds = 0;  // host-dependent
     std::string entry_json = dse::ResultCache::to_json(keys[i], salt, entry);
     while (!entry_json.empty() && entry_json.back() == '\n') {
       entry_json.pop_back();

@@ -151,7 +151,9 @@ std::string stats_response(const obs::MetricsSnapshot& snapshot);
 /// `trace_id` is echoed as "trace_id" so a client can correlate its
 /// response with the server's request log; it never affects the entry
 /// objects (the bit-identity contract covers entries, not envelope).
-std::string sweep_response(const std::vector<dse::SweepResult>& results,
+/// `results` is taken by value so a caller that is done with it can move
+/// it in, and no point's result or metrics is copied.
+std::string sweep_response(std::vector<dse::SweepResult> results,
                            const std::vector<std::uint64_t>& keys,
                            std::uint64_t salt, std::uint64_t trace_id = 0);
 /// Search response: warmth telemetry in the envelope, the deterministic

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -386,6 +388,133 @@ TEST(ResultCache, TelemetryAccountsEveryLookupUnderConcurrency) {
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.disk_hits(), 0u);
   EXPECT_GE(cache.hits(), 1u);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Every numeric field of an entry, doubles as raw bits, in one flat list:
+// equal lists mean bit-identical entries (NaN payloads and zero signs
+// included, which operator== cannot see). Names and strings go in `text`.
+std::vector<std::uint64_t> raw_fields(const ResultCache::Entry& entry,
+                                      std::vector<std::string>* text) {
+  const auto& r = entry.result;
+  const auto& e = r.energy;
+  const auto& a = r.area;
+  std::vector<std::uint64_t> out = {
+      r.makespan, r.jobs, bits(e.abb_j), bits(e.spm_j),
+      bits(e.abb_spm_xbar_j), bits(e.island_net_j), bits(e.dma_j),
+      bits(e.noc_j), bits(e.l2_j), bits(e.dram_j), bits(e.mono_j),
+      bits(e.leakage_j), bits(e.platform_j), bits(a.islands_mm2),
+      bits(a.noc_mm2), bits(a.l2_mm2), bits(a.mc_mm2),
+      bits(r.avg_abb_utilization), bits(r.peak_abb_utilization),
+      bits(r.l2_hit_rate), r.dram_bytes, r.chains_direct, r.chains_spilled,
+      r.tasks_queued, bits(r.noc_peak_link_utilization),
+      bits(r.job_latency_mean), r.job_latency_p50, r.job_latency_p95,
+      r.job_latency_max, entry.events};
+  text->push_back(r.workload);
+  text->push_back(r.config);
+  for (const auto& k : entry.event_kinds) {
+    out.push_back(k.count);
+    out.push_back(bits(k.seconds));
+  }
+  const auto& m = entry.metrics;
+  out.push_back(m.counters.size());
+  for (const auto& c : m.counters) {
+    text->push_back(c.name);
+    out.push_back(c.value);
+  }
+  out.push_back(m.accumulators.size());
+  for (const auto& c : m.accumulators) {
+    text->push_back(c.name);
+    out.insert(out.end(), {bits(c.sum), c.count, bits(c.mean), bits(c.min),
+                           bits(c.max)});
+  }
+  out.push_back(m.histograms.size());
+  for (const auto& h : m.histograms) {
+    text->push_back(h.name);
+    out.insert(out.end(), {h.count, bits(h.mean), h.min, h.max, h.p50, h.p95,
+                           h.p99, h.bucket_width, h.buckets.size()});
+    out.insert(out.end(), h.buckets.begin(), h.buckets.end());
+  }
+  return out;
+}
+
+// insert then lookup through a memory-only cache; the hit must equal
+// `entry` field for field and serialize to the same bytes.
+void expect_memory_round_trip(const ResultCache::Entry& entry) {
+  ResultCache cache;
+  const std::uint64_t k = 0x5eed;
+  cache.insert(k, entry);
+  ResultCache::Entry hit;
+  ASSERT_TRUE(cache.lookup(k, &hit));
+  std::vector<std::string> want_text, got_text;
+  ResultCache::Entry want = entry;
+  for (auto& kind : want.event_kinds) kind.seconds = 0;  // never cached
+  EXPECT_EQ(raw_fields(hit, &got_text), raw_fields(want, &want_text));
+  EXPECT_EQ(got_text, want_text);
+  EXPECT_EQ(ResultCache::to_json(k, kSimVersionSalt, hit),
+            ResultCache::to_json(k, kSimVersionSalt, entry));
+}
+
+TEST(ResultCache, PackedMemoryTierRoundTripsRingProxyAndChainDesigns) {
+  const auto wl = test_workload();
+  for (const std::uint32_t islands : {3u, 24u}) {
+    core::ArchConfig chain = core::ArchConfig::paper_baseline(islands);
+    chain.island.net.topology = island::SpmDmaTopology::kChainingXbar;
+    for (const core::ArchConfig& cfg :
+         {core::ArchConfig::ring_design(islands, 2, 32),
+          core::ArchConfig::paper_baseline(islands), chain}) {
+      SCOPED_TRACE(cfg.summary());
+      const SweepResult fresh = run_one(cfg, wl);
+      ResultCache::Entry entry;
+      entry.result = fresh.result;
+      entry.metrics = fresh.metrics;
+      entry.events = fresh.events;
+      entry.event_kinds = fresh.event_kinds;
+      ASSERT_FALSE(entry.metrics.histograms.empty());
+      expect_memory_round_trip(entry);
+    }
+  }
+}
+
+TEST(ResultCache, PackedMemoryTierKeepsSpecialValuesBitExact) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const std::uint64_t big = (std::uint64_t{1} << 63) + 12345;
+  ResultCache::Entry e;
+  e.result.workload = std::string("nul\0byte\xff", 9);
+  e.result.config = "";
+  e.result.makespan = ~std::uint64_t{0};
+  e.result.jobs = big;
+  e.result.energy.abb_j = -0.0;
+  e.result.energy.spm_j = 0.0;
+  e.result.energy.dma_j = nan;
+  e.result.energy.noc_j = -nan;
+  e.result.energy.l2_j = std::bit_cast<double>(0x7ff4000000000abcull);
+  e.result.energy.dram_j = denorm;
+  e.result.energy.mono_j = -denorm * 3;
+  e.result.area.mc_mm2 = std::numeric_limits<double>::infinity();
+  e.result.l2_hit_rate = std::numeric_limits<double>::max();
+  e.result.dram_bytes = big;
+  e.result.job_latency_p95 = std::uint64_t{1} << 63;
+  e.events = big;
+  for (std::size_t i = 0; i < sim::kNumEventKinds; ++i) {
+    e.event_kinds[i].count = big + i;
+    e.event_kinds[i].seconds = 1.5;  // host-dependent: comes back 0
+  }
+  e.metrics.counters = {{"a", 0}, {"b", 127}, {"c", 128}, {"d", big}};
+  e.metrics.accumulators = {{"acc", nan, big, -0.0, denorm, -nan}};
+  obs::HistogramSample h;
+  h.name = "h";
+  h.count = big;
+  h.mean = -0.0;
+  h.min = 0;
+  h.max = ~std::uint64_t{0};
+  h.p99 = std::uint64_t{1} << 63;
+  h.bucket_width = 16;
+  h.buckets = {0, 1, 0x7f, 0x80, 0x3fff, 0x4000, big, ~std::uint64_t{0}};
+  e.metrics.histograms = {h, obs::HistogramSample{}};
+  expect_memory_round_trip(e);
 }
 
 TEST(ConfigDigest, CanonicalTextCoversConfigFields) {

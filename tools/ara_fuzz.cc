@@ -6,7 +6,14 @@
 //     calendar-queue Simulator and through a legacy std::function +
 //     priority_queue replica; their (id, tick) dispatch checksums must
 //     match exactly;
-//  2. design-point cross-check — check::generate_point samples a valid
+//  2. link-layer differential — random reservation scripts (zero-byte
+//     payloads, fractional bandwidth, ready ticks that jump backwards into
+//     gaps) are driven through sim::SharedLink and through a std::map
+//     replica of its previous interval store, comparing every returned
+//     tick and the link's counters. One script per seed grows past the
+//     compaction threshold with start ticks beyond the compaction horizon,
+//     so compaction runs on every invocation;
+//  3. design-point cross-check — check::generate_point samples a valid
 //     random ArchConfig + Workload and check::cross_check runs it with
 //     runtime invariants enabled at jobs 1/2/8 plus a cached-vs-fresh
 //     ResultCache pass, requiring bit-identical results throughout.
@@ -14,13 +21,18 @@
 // A failing seed is greedily minimized (halving invocation count, DFG
 // size, then island count while the failure reproduces) and written as a
 // repro file under --repro-dir. Exit status 1 when any seed fails.
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <iterator>
+#include <map>
 #include <queue>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -28,9 +40,11 @@
 #include "check/fuzz.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
+#include "sim/shared_link.h"
 
 namespace {
 
+using ara::Bytes;
 using ara::Tick;
 
 /// The pre-PR3 event kernel: heap-allocated std::function callbacks on a
@@ -122,6 +136,155 @@ std::uint64_t dispatch_checksum(std::uint64_t seed, int initial) {
   return h;
 }
 
+/// SharedLink's earlier interval store: one std::map node per busy
+/// interval, keyed by start tick. The reference for the link-layer
+/// differential; same occupancy arithmetic, gap-fill walk and compaction
+/// rule as the production link, kept here (not in the library) because its
+/// only job is to disagree with the flat store when one of them breaks.
+class LegacyLink {
+ public:
+  LegacyLink(double bytes_per_cycle, Tick latency)
+      : bytes_per_cycle_(bytes_per_cycle), latency_(latency) {}
+
+  Tick submit(Tick ready_at, Bytes bytes) {
+    if (bytes == 0) return ready_at + latency_;
+    auto occupancy = static_cast<Tick>(
+        std::ceil(static_cast<double>(bytes) / bytes_per_cycle_));
+    if (occupancy == 0) occupancy = 1;
+
+    Tick start = ready_at;
+    auto it = busy_.upper_bound(ready_at);
+    if (it != busy_.begin()) {
+      auto prev = std::prev(it);
+      if (prev->second > start) start = prev->second;
+    }
+    while (it != busy_.end()) {
+      if (start + occupancy <= it->first) break;
+      start = it->second;
+      ++it;
+    }
+    const Tick end = start + occupancy;
+
+    auto inserted = busy_.emplace(start, end).first;
+    if (inserted != busy_.begin()) {
+      auto prev = std::prev(inserted);
+      if (prev->second == start) {
+        prev->second = end;
+        busy_.erase(inserted);
+        inserted = prev;
+      }
+    }
+    auto next = std::next(inserted);
+    if (next != busy_.end() && next->first == inserted->second) {
+      inserted->second = next->second;
+      busy_.erase(next);
+    }
+
+    busy_cycles_ += occupancy;
+    total_bytes_ += bytes;
+    ++transfers_;
+    if (start > high_watermark_) high_watermark_ = start;
+    if (busy_.size() > kCompactThreshold) compact();
+    return end + latency_;
+  }
+
+  Tick busy_cycles() const { return busy_cycles_; }
+  Bytes total_bytes() const { return total_bytes_; }
+  std::uint64_t transfers() const { return transfers_; }
+  std::size_t reservation_intervals() const { return busy_.size(); }
+  /// compact() calls that replaced at least one expired interval.
+  std::uint64_t compactions() const { return compactions_; }
+
+ private:
+  static constexpr Tick kCompactHorizon = 1u << 21;
+  static constexpr std::size_t kCompactThreshold = 4096;
+
+  void compact() {
+    if (high_watermark_ < kCompactHorizon) return;
+    const Tick cutoff = high_watermark_ - kCompactHorizon;
+    auto it = busy_.begin();
+    Tick blocker_start = ara::kTickMax;
+    while (it != busy_.end() && it->second <= cutoff) {
+      blocker_start = std::min(blocker_start, it->first);
+      it = busy_.erase(it);
+    }
+    if (blocker_start != ara::kTickMax) {
+      ++compactions_;
+      Tick blocker_end = cutoff;
+      if (!busy_.empty()) {
+        blocker_end = std::min(blocker_end, busy_.begin()->first);
+      }
+      if (blocker_end > blocker_start) {
+        busy_.emplace(blocker_start, blocker_end);
+      }
+    }
+  }
+
+  double bytes_per_cycle_;
+  Tick latency_;
+  std::map<Tick, Tick> busy_;
+  Tick busy_cycles_ = 0;
+  Bytes total_bytes_ = 0;
+  std::uint64_t transfers_ = 0;
+  Tick high_watermark_ = 0;
+  std::uint64_t compactions_ = 0;
+};
+
+/// Drive one seeded reservation script through sim::SharedLink and
+/// LegacyLink in lockstep. Returns "" when every returned tick and every
+/// counter agreed, else the first divergence. A `long_run` script keeps
+/// gaps between most payloads and advances ~500 ticks per payload over
+/// 12,000 payloads, so the store passes 4096 live intervals with start
+/// ticks beyond 2^21 and compaction runs; its backward jumps may land
+/// behind the compaction blocker.
+std::string link_differential(std::uint64_t seed, bool long_run,
+                              std::uint64_t* compactions) {
+  ara::sim::Rng rng(seed * 0x2545f4914f6cdd1dull + (long_run ? 1 : 0));
+  // Fractional bandwidths from 0.1 to 64 bytes/cycle.
+  const double bytes_per_cycle =
+      long_run ? 8.5
+               : static_cast<double>(1 + rng.next_below(640)) / 10.0;
+  const Tick latency = rng.next_below(8);
+  const int payloads = long_run ? 12000 : 2000;
+  const Tick step = long_run ? 1000 : 1 + rng.next_below(400);
+  const Tick back = long_run ? Tick{1} << 22 : 1 + rng.next_below(20000);
+
+  ara::sim::SharedLink link("fuzz", bytes_per_cycle, latency);
+  LegacyLink legacy(bytes_per_cycle, latency);
+  Tick cursor = 0;
+  for (int i = 0; i < payloads; ++i) {
+    cursor += rng.next_below(step);
+    Tick ready = cursor;
+    if (rng.next_bool(long_run ? 0.1 : 0.25)) {
+      const Tick jump = rng.next_below(back);
+      ready = jump < cursor ? cursor - jump : 0;  // back into the gaps
+    }
+    const Bytes bytes = rng.next_bool(0.05) ? 0 : 1 + rng.next_below(256);
+    const Tick got = link.submit(ready, bytes);
+    const Tick want = legacy.submit(ready, bytes);
+    if (got != want || link.busy_cycles() != legacy.busy_cycles() ||
+        link.total_bytes() != legacy.total_bytes() ||
+        link.transfers() != legacy.transfers() ||
+        link.reservation_intervals() != legacy.reservation_intervals()) {
+      std::ostringstream os;
+      os << (long_run ? "long" : "short") << " script, payload " << i
+         << " (ready " << ready << ", " << bytes << " B at "
+         << bytes_per_cycle << " B/cycle): tick " << got << " vs " << want
+         << ", busy " << link.busy_cycles() << " vs "
+         << legacy.busy_cycles() << ", intervals "
+         << link.reservation_intervals() << " vs "
+         << legacy.reservation_intervals();
+      return os.str();
+    }
+  }
+  *compactions += legacy.compactions();
+  if (long_run && legacy.compactions() == 0) {
+    return "long script never compacted (generator no longer reaches the "
+           "compaction threshold)";
+  }
+  return "";
+}
+
 struct Options {
   std::uint64_t seeds = 32;
   std::uint64_t seed_base = 1;
@@ -177,6 +340,8 @@ int main(int argc, char** argv) {
   namespace check = ara::check;
   std::uint64_t kernel_failures = 0;
   std::uint64_t point_failures = 0;
+  std::uint64_t link_failures = 0;
+  std::uint64_t link_compactions = 0;
 
   for (std::uint64_t s = opt.seed_base; s < opt.seed_base + opt.seeds; ++s) {
     const check::FuzzLimits full{};
@@ -194,7 +359,18 @@ int main(int argc, char** argv) {
                 << std::dec << "\n";
     }
 
-    // Layer 2: full-system differential with invariants on.
+    // Layer 2: link-layer differential against the std::map store.
+    for (const bool long_run : {false, true}) {
+      const std::string diverged =
+          link_differential(s, long_run, &link_compactions);
+      if (!diverged.empty()) {
+        ++link_failures;
+        std::cerr << "seed " << s << ": LINK DIVERGENCE — " << diverged
+                  << "\n";
+      }
+    }
+
+    // Layer 3: full-system differential with invariants on.
     std::string failure = check::cross_check(point);
     if (failure.empty()) {
       if (opt.verbose) {
@@ -247,6 +423,8 @@ int main(int argc, char** argv) {
   std::cout << "ara_fuzz: " << opt.seeds << " seeds, "
             << (opt.seeds - point_failures) << " clean, " << point_failures
             << " point failures, " << kernel_failures
-            << " kernel divergences\n";
-  return (point_failures + kernel_failures) == 0 ? 0 : 1;
+            << " kernel divergences, " << link_failures
+            << " link divergences (" << link_compactions
+            << " compactions exercised)\n";
+  return (point_failures + kernel_failures + link_failures) == 0 ? 0 : 1;
 }

@@ -243,29 +243,26 @@ void write_report(const std::string& path, const std::vector<Scenario>& rows,
     std::cerr << "error: cannot write " << path << "\n";
     std::exit(1);
   }
-  os << "{\"bench\":\"kernel_hotpath\",\"jobs\":1,\"scenarios\":[";
+  using ara::obs::json_put;
+  std::string out = "{\"bench\":\"kernel_hotpath\",\"jobs\":1,\"scenarios\":[";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
-    if (i > 0) os << ",";
-    os << "{\"name\":\"";
-    ara::obs::json_escape(os, r.name);
-    os << "\",\"events\":" << r.kernel.events << ",\"legacy_s\":";
-    ara::obs::json_number(os, r.legacy.seconds, 9);
-    os << ",\"kernel_s\":";
-    ara::obs::json_number(os, r.kernel.seconds, 9);
-    os << ",\"speedup\":";
-    ara::obs::json_number(os, r.speedup(), 6);
-    os << ",\"checksum_match\":"
-       << (r.legacy.checksum == r.kernel.checksum ? "true" : "false") << "}";
+    if (i > 0) out += ',';
+    json_put(out, "{\"name\":", r.name);
+    json_put(out, ",\"events\":", r.kernel.events);
+    json_put(out, ",\"legacy_s\":", r.legacy.seconds, 9);
+    json_put(out, ",\"kernel_s\":", r.kernel.seconds, 9);
+    json_put(out, ",\"speedup\":", r.speedup(), 6);
+    out += ",\"checksum_match\":";
+    out += r.legacy.checksum == r.kernel.checksum ? "true}" : "false}";
   }
-  os << "],\"total\":{\"legacy_s\":";
-  ara::obs::json_number(os, legacy_total, 9);
-  os << ",\"kernel_s\":";
-  ara::obs::json_number(os, kernel_total, 9);
-  os << ",\"speedup\":";
-  ara::obs::json_number(os, kernel_total > 0 ? legacy_total / kernel_total : 0,
-                        6);
-  os << "},\"heap_callbacks\":" << heap_callbacks << "}\n";
+  json_put(out, "],\"total\":{\"legacy_s\":", legacy_total, 9);
+  json_put(out, ",\"kernel_s\":", kernel_total, 9);
+  json_put(out, ",\"speedup\":",
+           kernel_total > 0 ? legacy_total / kernel_total : 0, 6);
+  json_put(out, "},\"heap_callbacks\":", heap_callbacks);
+  out += "}\n";
+  os << out;
 }
 
 }  // namespace

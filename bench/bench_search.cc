@@ -14,7 +14,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -155,36 +154,38 @@ int main(int argc, char** argv) {
             << warm.simulated << " simulations, " << warm.cache_hits
             << " cache hits\n";
 
-  std::ostringstream os;
-  os << "{\"bench\":\"search\",\"workload\":\"Denoise\",\"scale\":";
-  ara::obs::json_number(os, scale, 17);
-  os << ",\"space\":\"" << space_name << "\",\"space_size\":" << space_size
-     << ",\"grid\":{\"simulations\":" << grid.simulated << ",\"best\":\"";
-  ara::obs::json_escape(os, grid.best.spec.label());
-  os << "\",\"metric\":";
-  ara::obs::json_number(os, grid_best, 17);
-  os << "},\"budgets\":[";
+  using ara::obs::json_put;
+  std::string os = "{\"bench\":\"search\",\"workload\":\"Denoise\"";
+  json_put(os, ",\"scale\":", scale, 17);
+  json_put(os, ",\"space\":", space_name);
+  json_put(os, ",\"space_size\":", space_size);
+  json_put(os, ",\"grid\":{\"simulations\":", grid.simulated);
+  json_put(os, ",\"best\":", grid.best.spec.label());
+  json_put(os, ",\"metric\":", grid_best, 17);
+  os += "},\"budgets\":[";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const BudgetRow& row = rows[i];
-    if (i > 0) os << ",";
-    os << "{\"budget\":" << row.budget << ",\"evaluated\":" << row.evaluated
-       << ",\"simulated\":" << row.simulated << ",\"found_optimal\":"
-       << (row.found_optimal ? "true" : "false") << ",\"gap\":";
-    ara::obs::json_number(os, row.gap, 17);
-    os << ",\"best\":\"";
-    ara::obs::json_escape(os, row.best);
-    os << "\"}";
+    if (i > 0) os += ',';
+    json_put(os, "{\"budget\":", row.budget);
+    json_put(os, ",\"evaluated\":", row.evaluated);
+    json_put(os, ",\"simulated\":", row.simulated);
+    os += row.found_optimal ? ",\"found_optimal\":true"
+                            : ",\"found_optimal\":false";
+    json_put(os, ",\"gap\":", row.gap, 17);
+    json_put(os, ",\"best\":", row.best);
+    os += '}';
   }
-  os << "],\"warm_rerun\":{\"budget\":" << warm.budget
-     << ",\"simulated\":" << warm.simulated
-     << ",\"cache_hits\":" << warm.cache_hits << "}}";
+  json_put(os, "],\"warm_rerun\":{\"budget\":", warm.budget);
+  json_put(os, ",\"simulated\":", warm.simulated);
+  json_put(os, ",\"cache_hits\":", warm.cache_hits);
+  os += "}}\n";
 
   std::ofstream out(out_path);
   if (!out) {
     std::cerr << "cannot write " << out_path << "\n";
     return 1;
   }
-  out << os.str() << "\n";
+  out << os;
   std::cout << "report -> " << out_path << "\n";
   return 0;
 }

@@ -1,6 +1,7 @@
 #include "dse/result_cache.h"
 
-#include <cstdio>
+#include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -17,35 +18,39 @@ namespace {
 
 constexpr int kExactDigits = 17;
 
-void member(std::ostream& os, bool& first, const char* name) {
-  if (!first) os << ",";
+void member(std::string& out, bool& first, const char* name) {
+  if (!first) out += ',';
   first = false;
-  os << "\"" << name << "\":";
+  out += '"';
+  out += name;
+  out += "\":";
 }
 
-void put(std::ostream& os, bool& first, const char* name, double v) {
-  member(os, first, name);
-  obs::json_number(os, v, kExactDigits);
+void put(std::string& out, bool& first, const char* name, double v) {
+  member(out, first, name);
+  obs::json_number(out, v, kExactDigits);
 }
 
-void put(std::ostream& os, bool& first, const char* name, std::uint64_t v) {
-  member(os, first, name);
-  os << v;
+void put(std::string& out, bool& first, const char* name, std::uint64_t v) {
+  member(out, first, name);
+  obs::json_uint(out, v);
 }
 
-void put(std::ostream& os, bool& first, const char* name,
-         const std::string& v) {
-  member(os, first, name);
-  os << "\"";
-  obs::json_escape(os, v);
-  os << "\"";
+void put(std::string& out, bool& first, const char* name,
+         std::string_view v) {
+  member(out, first, name);
+  out += '"';
+  obs::json_escape(out, v);
+  out += '"';
 }
 
+/// The 16 lowercase hex digits of `key`, zero-padded.
 std::string hex_key(std::uint64_t key) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(key));
-  return buf;
+  char digits[16];
+  const std::to_chars_result r = std::to_chars(digits, digits + 16, key, 16);
+  std::string out(16 - static_cast<std::size_t>(r.ptr - digits), '0');
+  out.append(digits, r.ptr);
+  return out;
 }
 
 bool get(const obs::JsonValue& obj, const char* name, double* out) {
@@ -73,9 +78,11 @@ bool get(const obs::JsonValue& obj, const char* name, std::string* out) {
 //
 // An entry is stored as one byte string: LEB128 varints for integers and
 // lengths, the raw 8 bytes of each double (bit-exact, NaN payloads and
-// signed zeros included) and length-prefixed names. Per-kind seconds are
-// host wall-clock and are not stored. code_entry() walks the fields once
-// for both directions, so the writer and reader cannot disagree on order.
+// signed zeros included) and length-prefixed strings. Stat names are not
+// in it: they go to a separate list, which entries of the same snapshot
+// shape share (ResultCache::store). Per-kind seconds are host wall-clock
+// and are not stored. code_entry() walks the fields once for both
+// directions, so the writer and reader cannot disagree on order.
 
 class Packer {
  public:
@@ -97,11 +104,16 @@ class Packer {
     (*this)(static_cast<std::uint64_t>(v.size()));
     out_->append(v);
   }
+  /// A stat name: listed, not packed.
+  void name(const std::string& v) { names.push_back(v); }
   template <class T, class Fn>
   void list(const std::vector<T>& items, Fn&& fn) {
     (*this)(static_cast<std::uint64_t>(items.size()));
     for (const T& item : items) fn(item);
   }
+
+  /// The entry's stat names, in order; they view the packed Entry.
+  std::vector<std::string_view> names;
 
  private:
   std::string* out_;
@@ -111,7 +123,8 @@ class Packer {
 /// checks of its own.
 class Unpacker {
  public:
-  explicit Unpacker(const std::string& in) : p_(in.data()) {}
+  Unpacker(const std::string& in, const std::vector<std::string>& names)
+      : p_(in.data()), name_(names.begin()) {}
 
   void operator()(std::uint64_t& v) {
     v = 0;
@@ -131,6 +144,7 @@ class Unpacker {
     v.assign(p_, n);
     p_ += n;
   }
+  void name(std::string& v) { v = *name_++; }
   template <class T, class Fn>
   void list(std::vector<T>& items, Fn&& fn) {
     std::uint64_t n = 0;
@@ -141,6 +155,7 @@ class Unpacker {
 
  private:
   const char* p_;
+  std::vector<std::string>::const_iterator name_;
 };
 
 template <class Coder, class E>
@@ -181,11 +196,11 @@ void code_entry(Coder& c, E& e) {
   for (auto& kind : e.event_kinds) c(kind.count);
   auto& m = e.metrics;
   c.list(m.counters, [&c](auto& s) {
-    c(s.name);
+    c.name(s.name);
     c(s.value);
   });
   c.list(m.accumulators, [&c](auto& s) {
-    c(s.name);
+    c.name(s.name);
     c(s.sum);
     c(s.count);
     c(s.mean);
@@ -193,7 +208,7 @@ void code_entry(Coder& c, E& e) {
     c(s.max);
   });
   c.list(m.histograms, [&c](auto& s) {
-    c(s.name);
+    c.name(s.name);
     c(s.count);
     c(s.mean);
     c(s.min);
@@ -206,17 +221,20 @@ void code_entry(Coder& c, E& e) {
   });
 }
 
-std::string pack(const ResultCache::Entry& entry) {
-  std::string out;
-  Packer packer(&out);
-  code_entry(packer, entry);
-  out.shrink_to_fit();  // entries live as long as the cache
-  return out;
+/// Content hash of a name list: the names' FNV-1a hashes, chained. Equal
+/// hashes are confirmed by comparing the lists.
+std::uint64_t hash_names(const std::vector<std::string_view>& names) {
+  std::uint64_t h = names.size();
+  for (const std::string_view name : names) {
+    h = (h * 0x100000001b3ull) ^ core::fnv1a64(name);
+  }
+  return h;
 }
 
-void unpack(const std::string& packed, ResultCache::Entry* out) {
+void unpack(const std::string& values, const std::vector<std::string>& names,
+            ResultCache::Entry* out) {
   ResultCache::Entry e;
-  Unpacker unpacker(packed);
+  Unpacker unpacker(values, names);
   code_entry(unpacker, e);
   *out = std::move(e);
 }
@@ -239,78 +257,87 @@ std::string ResultCache::entry_path(std::uint64_t key) const {
   return dir_ + "/" + hex_key(key) + ".json";
 }
 
-std::string ResultCache::to_json(std::uint64_t key, std::uint64_t salt,
-                                 const Entry& entry) {
-  std::ostringstream os;
-  os << "{";
+void ResultCache::append_json(std::string& out, std::uint64_t key,
+                              std::uint64_t salt, const core::RunResult& r,
+                              const obs::MetricsSnapshot& metrics,
+                              std::uint64_t events,
+                              const EventKinds& event_kinds) {
+  out += '{';
   bool first = true;
-  put(os, first, "key", hex_key(key));
-  put(os, first, "salt", salt);
-  const auto& r = entry.result;
-  member(os, first, "result");
+  put(out, first, "key", hex_key(key));
+  put(out, first, "salt", salt);
+  member(out, first, "result");
   {
-    os << "{";
+    out += '{';
     bool f = true;
-    put(os, f, "workload", r.workload);
-    put(os, f, "config", r.config);
-    put(os, f, "makespan", r.makespan);
-    put(os, f, "jobs", r.jobs);
-    member(os, f, "energy");
+    put(out, f, "workload", r.workload);
+    put(out, f, "config", r.config);
+    put(out, f, "makespan", r.makespan);
+    put(out, f, "jobs", r.jobs);
+    member(out, f, "energy");
     {
-      os << "{";
+      out += '{';
       bool e = true;
-      put(os, e, "abb_j", r.energy.abb_j);
-      put(os, e, "spm_j", r.energy.spm_j);
-      put(os, e, "abb_spm_xbar_j", r.energy.abb_spm_xbar_j);
-      put(os, e, "island_net_j", r.energy.island_net_j);
-      put(os, e, "dma_j", r.energy.dma_j);
-      put(os, e, "noc_j", r.energy.noc_j);
-      put(os, e, "l2_j", r.energy.l2_j);
-      put(os, e, "dram_j", r.energy.dram_j);
-      put(os, e, "mono_j", r.energy.mono_j);
-      put(os, e, "leakage_j", r.energy.leakage_j);
-      put(os, e, "platform_j", r.energy.platform_j);
-      os << "}";
+      put(out, e, "abb_j", r.energy.abb_j);
+      put(out, e, "spm_j", r.energy.spm_j);
+      put(out, e, "abb_spm_xbar_j", r.energy.abb_spm_xbar_j);
+      put(out, e, "island_net_j", r.energy.island_net_j);
+      put(out, e, "dma_j", r.energy.dma_j);
+      put(out, e, "noc_j", r.energy.noc_j);
+      put(out, e, "l2_j", r.energy.l2_j);
+      put(out, e, "dram_j", r.energy.dram_j);
+      put(out, e, "mono_j", r.energy.mono_j);
+      put(out, e, "leakage_j", r.energy.leakage_j);
+      put(out, e, "platform_j", r.energy.platform_j);
+      out += '}';
     }
-    member(os, f, "area");
+    member(out, f, "area");
     {
-      os << "{";
+      out += '{';
       bool a = true;
-      put(os, a, "islands_mm2", r.area.islands_mm2);
-      put(os, a, "noc_mm2", r.area.noc_mm2);
-      put(os, a, "l2_mm2", r.area.l2_mm2);
-      put(os, a, "mc_mm2", r.area.mc_mm2);
-      os << "}";
+      put(out, a, "islands_mm2", r.area.islands_mm2);
+      put(out, a, "noc_mm2", r.area.noc_mm2);
+      put(out, a, "l2_mm2", r.area.l2_mm2);
+      put(out, a, "mc_mm2", r.area.mc_mm2);
+      out += '}';
     }
-    put(os, f, "avg_abb_utilization", r.avg_abb_utilization);
-    put(os, f, "peak_abb_utilization", r.peak_abb_utilization);
-    put(os, f, "l2_hit_rate", r.l2_hit_rate);
-    put(os, f, "dram_bytes", r.dram_bytes);
-    put(os, f, "chains_direct", r.chains_direct);
-    put(os, f, "chains_spilled", r.chains_spilled);
-    put(os, f, "tasks_queued", r.tasks_queued);
-    put(os, f, "noc_peak_link_utilization", r.noc_peak_link_utilization);
-    put(os, f, "job_latency_mean", r.job_latency_mean);
-    put(os, f, "job_latency_p50", r.job_latency_p50);
-    put(os, f, "job_latency_p95", r.job_latency_p95);
-    put(os, f, "job_latency_max", r.job_latency_max);
-    os << "}";
+    put(out, f, "avg_abb_utilization", r.avg_abb_utilization);
+    put(out, f, "peak_abb_utilization", r.peak_abb_utilization);
+    put(out, f, "l2_hit_rate", r.l2_hit_rate);
+    put(out, f, "dram_bytes", r.dram_bytes);
+    put(out, f, "chains_direct", r.chains_direct);
+    put(out, f, "chains_spilled", r.chains_spilled);
+    put(out, f, "tasks_queued", r.tasks_queued);
+    put(out, f, "noc_peak_link_utilization", r.noc_peak_link_utilization);
+    put(out, f, "job_latency_mean", r.job_latency_mean);
+    put(out, f, "job_latency_p50", r.job_latency_p50);
+    put(out, f, "job_latency_p95", r.job_latency_p95);
+    put(out, f, "job_latency_max", r.job_latency_max);
+    out += '}';
   }
-  put(os, first, "events", entry.events);
-  member(os, first, "event_kinds");
+  put(out, first, "events", events);
+  member(out, first, "event_kinds");
   {
-    os << "{";
+    out += '{';
     bool k = true;
     for (std::size_t i = 0; i < sim::kNumEventKinds; ++i) {
-      put(os, k, sim::event_kind_name(static_cast<sim::EventKind>(i)),
-          entry.event_kinds[i].count);
+      put(out, k, sim::event_kind_name(static_cast<sim::EventKind>(i)),
+          event_kinds[i].count);
     }
-    os << "}";
+    out += '}';
   }
-  member(os, first, "metrics");
-  obs::MetricsExporter::write_snapshot_exact(os, entry.metrics);
-  os << "}\n";
-  return os.str();
+  member(out, first, "metrics");
+  obs::MetricsExporter::append_snapshot_exact(out, metrics);
+  out += '}';
+}
+
+std::string ResultCache::to_json(std::uint64_t key, std::uint64_t salt,
+                                 const Entry& entry) {
+  std::string out;
+  append_json(out, key, salt, entry.result, entry.metrics, entry.events,
+              entry.event_kinds);
+  out += '\n';
+  return out;
 }
 
 bool ResultCache::from_json(const std::string& text, std::uint64_t key,
@@ -390,8 +417,31 @@ bool ResultCache::from_json(const std::string& text, std::uint64_t key,
   return true;
 }
 
+void ResultCache::store(std::uint64_t key, const Entry& entry) {
+  std::string values;
+  Packer packer(&values);
+  code_entry(packer, entry);
+  values.shrink_to_fit();  // entries live as long as the cache
+  const std::vector<std::string_view>& names = packer.names;
+  const std::uint64_t names_hash = hash_names(names);
+
+  common::MutexLock lock(mu_);
+  Packed& slot = memory_[key];
+  slot.values = std::move(values);
+  const auto it = name_lists_.find(names_hash);
+  if (it != name_lists_.end() &&
+      std::equal(it->second->begin(), it->second->end(), names.begin(),
+                 names.end())) {
+    slot.names = it->second;
+    return;
+  }
+  slot.names = std::make_shared<const std::vector<std::string>>(
+      names.begin(), names.end());
+  if (it == name_lists_.end()) name_lists_.emplace(names_hash, slot.names);
+}
+
 bool ResultCache::lookup(std::uint64_t key, Entry* out) {
-  std::string packed;
+  Packed packed;
   bool in_memory = false;
   {
     common::MutexLock lock(mu_);
@@ -403,7 +453,7 @@ bool ResultCache::lookup(std::uint64_t key, Entry* out) {
     }
   }
   if (in_memory) {
-    unpack(packed, out);
+    unpack(packed.values, *packed.names, out);
     return true;
   }
   if (!dir_.empty()) {
@@ -413,11 +463,12 @@ bool ResultCache::lookup(std::uint64_t key, Entry* out) {
       buf << in.rdbuf();
       Entry e;
       if (from_json(buf.str(), key, salt_, &e)) {
-        packed = pack(e);
-        common::MutexLock lock(mu_);
-        memory_[key] = std::move(packed);
-        ++hits_;
-        ++disk_hits_;
+        store(key, e);
+        {
+          common::MutexLock lock(mu_);
+          ++hits_;
+          ++disk_hits_;
+        }
         *out = std::move(e);
         return true;
       }
@@ -450,16 +501,14 @@ void ResultCache::write_disk_entry(std::uint64_t key,
 
 void ResultCache::insert(std::uint64_t key, const Entry& entry) {
   // Neither tier stores the host-dependent per-kind seconds: to_json and
-  // pack write only the counts.
+  // the packer write only the counts.
   if (!dir_.empty()) {
     // All writers share the "<path>.tmp" scratch name; concurrent inserts
     // of the same key must not interleave bytes in it (see disk_mu_).
     common::MutexLock lock(disk_mu_);
     write_disk_entry(key, entry);
   }
-  std::string packed = pack(entry);
-  common::MutexLock lock(mu_);
-  memory_[key] = std::move(packed);
+  store(key, entry);
 }
 
 std::uint64_t ResultCache::hits() const {

@@ -10,9 +10,11 @@
 //
 // Two tiers:
 //  - in-process: always on, mutex-protected; each entry is stored once as
-//    a packed byte string (LEB128 integers, raw 8-byte doubles, length-
-//    prefixed names, no per-kind seconds), a fraction of a decoded Entry's
-//    heap; lookup() decodes it;
+//    a packed byte string (LEB128 integers, raw 8-byte doubles, no per-kind
+//    seconds), a fraction of a decoded Entry's heap, plus a pointer to its
+//    snapshot's stat-name list, which every entry of the same snapshot
+//    shape shares (the names are over half of a packed entry); lookup()
+//    decodes it;
 //  - on-disk (optional, `--cache DIR` / ARA_CACHE): one JSON file per key,
 //    written with 17-significant-digit doubles so RunResult round-trips
 //    bit-exactly (asserted by tests/result_cache_test.cc). Files are
@@ -26,8 +28,10 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -53,6 +57,9 @@ inline constexpr std::uint64_t kSimVersionSalt = 6;
 
 class ResultCache {
  public:
+  /// Per-kind dispatch counts (and host seconds) of a point.
+  using EventKinds = std::array<sim::EventKindStats, sim::kNumEventKinds>;
+
   /// The deterministic portion of a sweep point's outcome.
   struct Entry {
     core::RunResult result;
@@ -61,7 +68,7 @@ class ResultCache {
     std::uint64_t events = 0;
     /// Per-kind dispatch counts. Seconds are host wall-clock and are not
     /// stored — a hit reports them as 0.
-    std::array<sim::EventKindStats, sim::kNumEventKinds> event_kinds{};
+    EventKinds event_kinds{};
   };
 
   /// In-process tier only.
@@ -93,8 +100,16 @@ class ResultCache {
   std::uint64_t disk_hits() const ARA_EXCLUDES(mu_);
   std::size_t size() const ARA_EXCLUDES(mu_);
 
-  /// Serialize an entry as one JSON object (exact precision). Exposed for
-  /// tests; `key`/`salt` are embedded for validation on load.
+  /// Append an entry, given by its parts, as one JSON object (exact
+  /// precision, no trailing newline). `key`/`salt` are embedded for
+  /// validation on load. Taking the parts lets the serve protocol write a
+  /// SweepResult straight into its response without building an Entry.
+  static void append_json(std::string& out, std::uint64_t key,
+                          std::uint64_t salt, const core::RunResult& result,
+                          const obs::MetricsSnapshot& metrics,
+                          std::uint64_t events, const EventKinds& event_kinds);
+  /// append_json of `entry` plus a trailing newline: the bytes of an
+  /// on-disk entry file.
   static std::string to_json(std::uint64_t key, std::uint64_t salt,
                              const Entry& entry);
   /// Inverse of to_json. False on malformed JSON, wrong shape, or a
@@ -114,9 +129,26 @@ class ResultCache {
   std::string dir_;
   std::uint64_t salt_ = kSimVersionSalt;
 
+  /// Every stat name of a snapshot in packing order (counters, then
+  /// accumulators, then histograms).
+  using NameList = std::shared_ptr<const std::vector<std::string>>;
+  /// One memory-tier entry: the name list it shares with every entry of
+  /// the same snapshot shape, and everything else packed (format private
+  /// to result_cache.cc).
+  struct Packed {
+    NameList names;
+    std::string values;
+  };
+  /// Pack `entry` into the memory tier under `key`, sharing the interned
+  /// name list equal to its stat names (interning a copy when new).
+  void store(std::uint64_t key, const Entry& entry) ARA_EXCLUDES(mu_);
+
   mutable common::Mutex mu_;
-  /// Packed entries (format private to result_cache.cc).
-  std::unordered_map<std::uint64_t, std::string> memory_ ARA_GUARDED_BY(mu_);
+  std::unordered_map<std::uint64_t, Packed> memory_ ARA_GUARDED_BY(mu_);
+  /// Interned name lists by content hash. A list whose hash is taken by
+  /// a different list (a collision) is kept by its entry alone.
+  std::unordered_map<std::uint64_t, NameList> name_lists_
+      ARA_GUARDED_BY(mu_);
   std::uint64_t hits_ ARA_GUARDED_BY(mu_) = 0;
   std::uint64_t misses_ ARA_GUARDED_BY(mu_) = 0;
   std::uint64_t disk_hits_ ARA_GUARDED_BY(mu_) = 0;

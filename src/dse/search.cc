@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <sstream>
 #include <utility>
 
 #include "check/fuzz.h"
@@ -245,25 +244,26 @@ std::vector<PointSpec> neighbours(const PointSpec& base,
   return out;
 }
 
-void candidate_json(std::ostringstream& os, const SearchCandidate& c) {
-  os << "{\"spec\":{\"islands\":" << c.spec.islands << ",\"net\":\"";
-  obs::json_escape(os, c.spec.net);
-  os << "\",\"rings\":" << c.spec.rings << ",\"width\":" << c.spec.link_bytes
-     << ",\"ports\":" << c.spec.ports
-     << ",\"sharing\":" << (c.spec.sharing ? "true" : "false")
-     << ",\"mono\":" << (c.spec.mono ? "true" : "false") << ",\"policy\":\"";
-  obs::json_escape(os, c.spec.policy);
-  os << "\"},\"makespan\":" << c.makespan << ",\"performance\":";
-  obs::json_number(os, c.performance, 17);
-  os << ",\"perf_per_energy\":";
-  obs::json_number(os, c.perf_per_energy, 17);
-  os << ",\"perf_per_area\":";
-  obs::json_number(os, c.perf_per_area, 17);
-  os << ",\"energy_j\":";
-  obs::json_number(os, c.energy_j, 17);
-  os << ",\"area_mm2\":";
-  obs::json_number(os, c.area_mm2, 17);
-  os << "}";
+const char* json_bool(bool v) { return v ? "true" : "false"; }
+
+void candidate_json(std::string& out, const SearchCandidate& c) {
+  obs::json_put(out, "{\"spec\":{\"islands\":", c.spec.islands);
+  obs::json_put(out, ",\"net\":", c.spec.net);
+  obs::json_put(out, ",\"rings\":", c.spec.rings);
+  obs::json_put(out, ",\"width\":", c.spec.link_bytes);
+  obs::json_put(out, ",\"ports\":", c.spec.ports);
+  out += ",\"sharing\":";
+  out += json_bool(c.spec.sharing);
+  out += ",\"mono\":";
+  out += json_bool(c.spec.mono);
+  obs::json_put(out, ",\"policy\":", c.spec.policy);
+  obs::json_put(out, "},\"makespan\":", c.makespan);
+  obs::json_put(out, ",\"performance\":", c.performance, 17);
+  obs::json_put(out, ",\"perf_per_energy\":", c.perf_per_energy, 17);
+  obs::json_put(out, ",\"perf_per_area\":", c.perf_per_area, 17);
+  obs::json_put(out, ",\"energy_j\":", c.energy_j, 17);
+  obs::json_put(out, ",\"area_mm2\":", c.area_mm2, 17);
+  out += '}';
 }
 
 }  // namespace
@@ -497,34 +497,38 @@ SearchResult search(const SearchRequest& request) {
   return out;
 }
 
-std::string search_result_json(const SearchResult& r) {
-  std::ostringstream os;
-  os << "{\"workload\":\"";
-  obs::json_escape(os, r.workload);
-  os << "\",\"scale\":";
-  obs::json_number(os, r.scale, 17);
-  os << ",\"objective\":\"" << objective_name(r.objective)
-     << "\",\"budget\":" << r.budget << ",\"seed\":" << r.seed
-     << ",\"space_size\":" << r.space_size << ",\"evaluated\":" << r.evaluated
-     << ",\"stages\":[";
+void append_search_result_json(std::string& out, const SearchResult& r) {
+  obs::json_put(out, "{\"workload\":", r.workload);
+  obs::json_put(out, ",\"scale\":", r.scale, 17);
+  obs::json_put(out, ",\"objective\":", objective_name(r.objective));
+  obs::json_put(out, ",\"budget\":", r.budget);
+  obs::json_put(out, ",\"seed\":", r.seed);
+  obs::json_put(out, ",\"space_size\":", r.space_size);
+  obs::json_put(out, ",\"evaluated\":", r.evaluated);
+  out += ",\"stages\":[";
   for (std::size_t i = 0; i < r.stages.size(); ++i) {
     const SearchStage& st = r.stages[i];
-    if (i > 0) os << ",";
-    os << "{\"name\":\"";
-    obs::json_escape(os, st.name);
-    os << "\",\"scale_mult\":";
-    obs::json_number(os, st.scale_mult, 17);
-    os << ",\"evaluated\":" << st.evaluated << ",\"kept\":" << st.kept << "}";
+    if (i > 0) out += ',';
+    obs::json_put(out, "{\"name\":", st.name);
+    obs::json_put(out, ",\"scale_mult\":", st.scale_mult, 17);
+    obs::json_put(out, ",\"evaluated\":", st.evaluated);
+    obs::json_put(out, ",\"kept\":", st.kept);
+    out += '}';
   }
-  os << "],\"best\":";
-  candidate_json(os, r.best);
-  os << ",\"frontier\":[";
+  out += "],\"best\":";
+  candidate_json(out, r.best);
+  out += ",\"frontier\":[";
   for (std::size_t i = 0; i < r.frontier.size(); ++i) {
-    if (i > 0) os << ",";
-    candidate_json(os, r.frontier[i]);
+    if (i > 0) out += ',';
+    candidate_json(out, r.frontier[i]);
   }
-  os << "]}";
-  return os.str();
+  out += "]}";
+}
+
+std::string search_result_json(const SearchResult& r) {
+  std::string out;
+  append_search_result_json(out, r);
+  return out;
 }
 
 }  // namespace ara::dse

@@ -149,5 +149,7 @@ SearchResult search(const SearchRequest& request);
 /// byte-identical strings regardless of jobs or cache warmth — the
 /// contract search_test and serve_smoke pin.
 std::string search_result_json(const SearchResult& r);
+/// search_result_json appended to `out` (the serve response embeds it).
+void append_search_result_json(std::string& out, const SearchResult& r);
 
 }  // namespace ara::dse

@@ -22,16 +22,21 @@ void fill_from_entry(SweepResult* out, ResultCache::Entry entry) {
   out->event_kinds = entry.event_kinds;
 }
 
-/// The deterministic portion of a fresh result, as the cache stores it
-/// (per-kind wall seconds zeroed — they never round-trip).
-ResultCache::Entry entry_of(const SweepResult& fresh) {
+/// Hand the deterministic portion of a fresh result to `fn` as the Entry
+/// the cache stores (per-kind wall seconds zeroed: they never round-trip)
+/// without copying it: the result and metrics move into the entry and
+/// back, and `fresh` keeps its own per-kind seconds.
+template <class Fn>
+void with_entry(SweepResult& fresh, Fn&& fn) {
   ResultCache::Entry entry;
-  entry.result = fresh.result;
-  entry.metrics = fresh.metrics;
+  entry.result = std::move(fresh.result);
+  entry.metrics = std::move(fresh.metrics);
   entry.events = fresh.events;
   entry.event_kinds = fresh.event_kinds;
   for (auto& k : entry.event_kinds) k.seconds = 0;
-  return entry;
+  fn(static_cast<const ResultCache::Entry&>(entry));
+  fresh.result = std::move(entry.result);
+  fresh.metrics = std::move(entry.metrics);
 }
 
 }  // namespace
@@ -143,26 +148,33 @@ std::vector<SweepResult> run(const SweepRequest& request) {
     }
     for (std::size_t m = 0; m < fresh.size(); ++m) {
       if (keyed) {
-        const ResultCache::Entry entry = entry_of(fresh[m]);
-        // Cache before publish: a request that joins after the publish
-        // retires the key must find the entry in the cache, not start a
-        // redundant simulation.
-        if (request.cache != nullptr) {
-          request.cache->insert(miss_key[m], entry);
-        }
-        if (request.coalescer != nullptr) {
-          request.coalescer->publish(miss_ticket[m], entry);
-        }
+        with_entry(fresh[m], [&](const ResultCache::Entry& entry) {
+          // Cache before publish: a request that joins after the publish
+          // retires the key must find the entry in the cache, not start a
+          // redundant simulation.
+          if (request.cache != nullptr) {
+            request.cache->insert(miss_key[m], entry);
+          }
+          if (request.coalescer != nullptr) {
+            request.coalescer->publish(miss_ticket[m], entry);
+          }
+        });
       }
       results[miss_slot[m]] = std::move(fresh[m]);
     }
   }
 
-  // Duplicates of our own fresh points: simulated once, fanned out.
+  // Duplicates of our own fresh points: simulated once, fanned out (one
+  // copy each, host seconds zeroed as on any served point).
   for (const Alias& alias : aliases) {
-    fill_from_entry(&results[alias.slot],
-                    entry_of(results[miss_slot[alias.miss]]));
-    results[alias.slot].coalesced = true;
+    const SweepResult& leader = results[miss_slot[alias.miss]];
+    SweepResult& out = results[alias.slot];
+    out.result = leader.result;
+    out.metrics = leader.metrics;
+    out.events = leader.events;
+    out.event_kinds = leader.event_kinds;
+    for (auto& k : out.event_kinds) k.seconds = 0;
+    out.coalesced = true;
   }
 
   // Followers last: by now our own simulations are done, so waiting on
@@ -200,7 +212,9 @@ std::vector<SweepResult> run(const SweepRequest& request) {
     auto fresh = executor.run(orphan_jobs);
     for (std::size_t m = 0; m < fresh.size(); ++m) {
       if (request.cache != nullptr) {
-        request.cache->insert(orphan_key[m], entry_of(fresh[m]));
+        with_entry(fresh[m], [&](const ResultCache::Entry& entry) {
+          request.cache->insert(orphan_key[m], entry);
+        });
       }
       results[orphan_slot[m]] = std::move(fresh[m]);
     }

@@ -1,8 +1,8 @@
 #include "obs/json_io.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 namespace ara::obs {
@@ -316,51 +316,80 @@ bool validate_json(std::string_view text, std::string* error) {
   return parse_json(text, &dom, error);
 }
 
-void json_escape(std::ostream& os, std::string_view s) {
-  for (const char raw : s) {
-    const auto c = static_cast<unsigned char>(raw);
+void json_escape(std::string& out, std::string_view s) {
+  const char* const p = s.data();
+  std::size_t run = 0;  // start of the pending unescaped run
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(p[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(p + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
-        os << "\\\"";
+        out += "\\\"";
         break;
       case '\\':
-        os << "\\\\";
+        out += "\\\\";
         break;
       case '\b':
-        os << "\\b";
+        out += "\\b";
         break;
       case '\f':
-        os << "\\f";
+        out += "\\f";
         break;
       case '\n':
-        os << "\\n";
+        out += "\\n";
         break;
       case '\r':
-        os << "\\r";
+        out += "\\r";
         break;
       case '\t':
-        os << "\\t";
+        out += "\\t";
         break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << raw;
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char u[6] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out.append(u, sizeof u);
+      }
     }
   }
+  out.append(p + run, s.size() - run);
 }
 
-void json_number(std::ostream& os, double v, int digits) {
+void json_number(std::string& out, double v, int digits) {
   if (!std::isfinite(v)) {
-    os << 0;  // JSON has no NaN/Inf
+    out += '0';  // JSON has no NaN/Inf
     return;
   }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.*g", digits, v);
-  os << buf;
+  // "%.17g" needs at most 24 bytes ("-1.2345678901234567e-308").
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof buf, v, std::chars_format::general, digits);
+  out.append(buf, r.ptr);
+}
+
+void json_uint(std::string& out, std::uint64_t v) {
+  char buf[20];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, r.ptr);
+}
+
+void json_put(std::string& out, std::string_view prefix, std::uint64_t v) {
+  out += prefix;
+  json_uint(out, v);
+}
+
+void json_put(std::string& out, std::string_view prefix, double v,
+              int digits) {
+  out += prefix;
+  json_number(out, v, digits);
+}
+
+void json_put(std::string& out, std::string_view prefix, std::string_view v) {
+  out += prefix;
+  out += '"';
+  json_escape(out, v);
+  out += '"';
 }
 
 }  // namespace ara::obs

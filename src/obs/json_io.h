@@ -55,11 +55,41 @@ bool parse_json(std::string_view text, JsonValue* out,
 /// gets the same "offset N: ..." message.
 bool validate_json(std::string_view text, std::string* error = nullptr);
 
-/// Writer helpers shared by MetricsExporter, TraceCollector-adjacent code
-/// and the result cache.
-void json_escape(std::ostream& os, std::string_view s);
-/// `digits` significant digits; 17 round-trips doubles exactly. NaN/Inf
-/// (invalid JSON) degrade to 0.
-void json_number(std::ostream& os, double v, int digits);
+// --- Writers ---
+//
+// The JSON emitters of the obs, dse and serve layers (result-cache
+// entries, metrics snapshots, serve responses, the request log) append to
+// one std::string through these helpers and hand the finished bytes on
+// once. Numbers go through std::to_chars, so no stream state or locale is
+// involved. (sim::TraceCollector sits below obs and keeps its own.)
+
+/// Append `s` escaped as the inside of a JSON string (no quotes): `"` and
+/// `\` and the control bytes below 0x20 are escaped (\b \f \n \r \t, the
+/// rest as \u00xx); every other byte is copied as is, one append per
+/// unescaped run.
+void json_escape(std::string& out, std::string_view s);
+/// Append `v` with `digits` (1-17) significant digits, the bytes printf
+/// "%.*g" writes; 17 round-trips doubles exactly. NaN/Inf (invalid JSON)
+/// degrade to 0.
+void json_number(std::string& out, double v, int digits);
+/// Append `v` in decimal.
+void json_uint(std::string& out, std::uint64_t v);
+
+/// `prefix` (the punctuation and quoted member name before a value, such
+/// as `,"count":`) followed by the value: the step every emitter repeats.
+void json_put(std::string& out, std::string_view prefix, std::uint64_t v);
+void json_put(std::string& out, std::string_view prefix, double v,
+              int digits);
+/// A string value, quoted and escaped.
+void json_put(std::string& out, std::string_view prefix, std::string_view v);
+
+/// Stream adapter over the string writer, kept only for the benchmark
+/// harness's span dump (perfbench/perfbench.cc), which writes to a
+/// std::ofstream; every program emitter uses the string writers above.
+inline void json_escape(std::ostream& os, std::string_view s) {
+  std::string out;
+  json_escape(out, s);
+  os << out;
+}
 
 }  // namespace ara::obs

@@ -34,54 +34,57 @@ void csv_number(std::ostream& os, double v) {
   os << buf;
 }
 
-void write_snapshot_object(std::ostream& os, const MetricsSnapshot& snap,
+void json_key(std::string& out, const std::string& name) {
+  out += '"';
+  json_escape(out, name);
+  out += "\":";
+}
+
+void write_snapshot_object(std::string& out, const MetricsSnapshot& snap,
                            int digits) {
-  os << "{\"counters\":{";
+  out += "{\"counters\":{";
   bool first = true;
   for (const auto& c : snap.counters) {
-    if (!first) os << ",";
+    if (!first) out += ',';
     first = false;
-    os << "\"";
-    json_escape(os, c.name);
-    os << "\":" << c.value;
+    json_key(out, c.name);
+    json_uint(out, c.value);
   }
-  os << "},\"accumulators\":{";
+  out += "},\"accumulators\":{";
   first = true;
   for (const auto& a : snap.accumulators) {
-    if (!first) os << ",";
+    if (!first) out += ',';
     first = false;
-    os << "\"";
-    json_escape(os, a.name);
-    os << "\":{\"sum\":";
-    json_number(os, a.sum, digits);
-    os << ",\"count\":" << a.count << ",\"mean\":";
-    json_number(os, a.mean, digits);
-    os << ",\"min\":";
-    json_number(os, a.min, digits);
-    os << ",\"max\":";
-    json_number(os, a.max, digits);
-    os << "}";
+    json_key(out, a.name);
+    json_put(out, "{\"sum\":", a.sum, digits);
+    json_put(out, ",\"count\":", a.count);
+    json_put(out, ",\"mean\":", a.mean, digits);
+    json_put(out, ",\"min\":", a.min, digits);
+    json_put(out, ",\"max\":", a.max, digits);
+    out += '}';
   }
-  os << "},\"histograms\":{";
+  out += "},\"histograms\":{";
   first = true;
   for (const auto& h : snap.histograms) {
-    if (!first) os << ",";
+    if (!first) out += ',';
     first = false;
-    os << "\"";
-    json_escape(os, h.name);
-    os << "\":{\"count\":" << h.count << ",\"mean\":";
-    json_number(os, h.mean, digits);
-    os << ",\"min\":" << h.min << ",\"max\":" << h.max << ",\"p50\":" << h.p50
-       << ",\"p95\":" << h.p95
-       << ",\"p99\":" << h.p99 << ",\"bucket_width\":" << h.bucket_width
-       << ",\"buckets\":[";
+    json_key(out, h.name);
+    json_put(out, "{\"count\":", h.count);
+    json_put(out, ",\"mean\":", h.mean, digits);
+    json_put(out, ",\"min\":", h.min);
+    json_put(out, ",\"max\":", h.max);
+    json_put(out, ",\"p50\":", h.p50);
+    json_put(out, ",\"p95\":", h.p95);
+    json_put(out, ",\"p99\":", h.p99);
+    json_put(out, ",\"bucket_width\":", h.bucket_width);
+    out += ",\"buckets\":[";
     for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      if (i > 0) os << ",";
-      os << h.buckets[i];
+      if (i > 0) out += ',';
+      json_uint(out, h.buckets[i]);
     }
-    os << "]}";
+    out += "]}";
   }
-  os << "}}";
+  out += "}}";
 }
 
 }  // namespace
@@ -124,15 +127,29 @@ MetricsSnapshot MetricsSnapshot::capture(const sim::StatRegistry& registry) {
   return snap;
 }
 
+void MetricsExporter::append_json(std::string& out,
+                                  const MetricsSnapshot& snapshot) {
+  write_snapshot_object(out, snapshot, kDisplayDigits);
+  out += '\n';
+}
+
 void MetricsExporter::write_json(std::ostream& os,
                                  const MetricsSnapshot& snapshot) {
-  write_snapshot_object(os, snapshot, kDisplayDigits);
-  os << "\n";
+  std::string out;
+  append_json(out, snapshot);
+  os << out;
+}
+
+void MetricsExporter::append_snapshot_exact(std::string& out,
+                                            const MetricsSnapshot& snapshot) {
+  write_snapshot_object(out, snapshot, kExactDigits);
 }
 
 void MetricsExporter::write_snapshot_exact(std::ostream& os,
                                            const MetricsSnapshot& snapshot) {
-  write_snapshot_object(os, snapshot, kExactDigits);
+  std::string out;
+  append_snapshot_exact(out, snapshot);
+  os << out;
 }
 
 bool MetricsExporter::snapshot_from_json(const JsonValue& value,
@@ -235,18 +252,19 @@ void MetricsExporter::write_labeled_json(
     std::ostream& os,
     const std::vector<std::pair<std::string, const MetricsSnapshot*>>&
         points) {
-  os << "{\"points\":[";
+  std::string out = "{\"points\":[";
   bool first = true;
   for (const auto& [label, snap] : points) {
-    if (!first) os << ",";
+    if (!first) out += ',';
     first = false;
-    os << "\n{\"label\":\"";
-    json_escape(os, label);
-    os << "\",\"metrics\":";
-    write_snapshot_object(os, *snap, kDisplayDigits);
-    os << "}";
+    out += "\n{\"label\":\"";
+    json_escape(out, label);
+    out += "\",\"metrics\":";
+    write_snapshot_object(out, *snap, kDisplayDigits);
+    out += '}';
   }
-  os << "\n]}\n";
+  out += "\n]}\n";
+  os << out;
 }
 
 bool MetricsExporter::write_file(const std::string& path,

@@ -66,8 +66,11 @@ struct MetricsSnapshot {
 
 class MetricsExporter {
  public:
-  /// Full snapshot as one JSON object:
+  /// Full snapshot as one JSON object with 12-significant-digit doubles
+  /// and a trailing newline:
   ///   {"counters":{...},"accumulators":{...},"histograms":{...}}
+  static void append_json(std::string& out, const MetricsSnapshot& snapshot);
+  /// append_json into a string, written to `os` once.
   static void write_json(std::ostream& os, const MetricsSnapshot& snapshot);
 
   /// Flat CSV: kind,name,value,count,mean,min,max,p50,p95,p99.
@@ -87,7 +90,10 @@ class MetricsExporter {
 
   /// Snapshot object with 17-significant-digit doubles (no trailing
   /// newline): the on-disk result cache needs a bit-exact round-trip,
-  /// which the display-oriented 12-digit write_json does not guarantee.
+  /// which the display-oriented 12-digit append_json does not guarantee.
+  static void append_snapshot_exact(std::string& out,
+                                    const MetricsSnapshot& snapshot);
+  /// append_snapshot_exact into a string, written to `os` once.
   static void write_snapshot_exact(std::ostream& os,
                                    const MetricsSnapshot& snapshot);
 

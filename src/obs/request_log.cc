@@ -1,7 +1,6 @@
 #include "obs/request_log.h"
 
 #include <cstdio>
-#include <sstream>
 
 #include "obs/json_io.h"
 
@@ -18,30 +17,33 @@ constexpr int kMsDigits = 12;
 
 std::string RequestLog::format_line(const RequestTrace& trace,
                                     std::uint64_t slow_ms) {
-  std::ostringstream os;
-  os << "{\"trace_id\":" << trace.id << ",\"client\":\"";
-  json_escape(os, trace.client);
-  os << "\",\"workload\":\"";
-  json_escape(os, trace.workload);
-  os << "\",\"points\":" << trace.points
-     << ",\"total_ns\":" << trace.total_ns << ",\"total_ms\":";
-  json_number(os, static_cast<double>(trace.total_ns) / 1e6, kMsDigits);
-  os << ",\"phases_ns\":{";
+  std::string out;
+  json_put(out, "{\"trace_id\":", trace.id);
+  json_put(out, ",\"client\":", trace.client);
+  json_put(out, ",\"workload\":", trace.workload);
+  json_put(out, ",\"points\":", trace.points);
+  json_put(out, ",\"total_ns\":", trace.total_ns);
+  json_put(out, ",\"total_ms\":", static_cast<double>(trace.total_ns) / 1e6,
+           kMsDigits);
+  out += ",\"phases_ns\":{";
   for (std::size_t p = 0; p < kNumPhases; ++p) {
-    if (p > 0) os << ",";
-    os << "\"" << phase_name(static_cast<Phase>(p))
-       << "\":" << trace.phase_ns[p];
+    if (p > 0) out += ',';
+    out += '"';
+    out += phase_name(static_cast<Phase>(p));
+    out += "\":";
+    json_uint(out, trace.phase_ns[p]);
   }
-  os << "},\"outcomes\":{\"hit\":" << trace.hits
-     << ",\"alias\":" << trace.aliases << ",\"follower\":" << trace.followers
-     << ",\"miss\":" << trace.misses << ",\"failed\":" << trace.failed
-     << "},\"error\":\"";
-  json_escape(os, trace.error);
-  os << "\",\"slow\":"
-     << (slow_ms > 0 && trace.total_ns >= slow_ms * 1000000ull ? "true"
-                                                               : "false")
-     << "}";
-  return os.str();
+  json_put(out, "},\"outcomes\":{\"hit\":", trace.hits);
+  json_put(out, ",\"alias\":", trace.aliases);
+  json_put(out, ",\"follower\":", trace.followers);
+  json_put(out, ",\"miss\":", trace.misses);
+  json_put(out, ",\"failed\":", trace.failed);
+  json_put(out, "},\"error\":", trace.error);
+  out += ",\"slow\":";
+  out += slow_ms > 0 && trace.total_ns >= slow_ms * 1000000ull ? "true"
+                                                                : "false";
+  out += '}';
+  return out;
 }
 
 RequestLog::RequestLog(Options opts) : opts_(std::move(opts)) {

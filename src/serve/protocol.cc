@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 #include <utility>
 
 #include "common/config_error.h"
@@ -317,6 +316,14 @@ bool parse_search_body(const obs::JsonValue& root, Request* out,
   return true;
 }
 
+/// `"trace_id":N,` of a traced response; nothing for 0 (untraced direct
+/// protocol users; the server always mints one).
+void put_trace_id(std::string& out, std::uint64_t trace_id) {
+  if (trace_id == 0) return;
+  obs::json_put(out, "\"trace_id\":", trace_id);
+  out += ',';
+}
+
 }  // namespace
 
 ReadStatus read_frame(int fd, std::string* payload) {
@@ -446,73 +453,58 @@ std::string pong_response() { return "{\"type\":\"pong\"}"; }
 
 std::string error_response(std::string_view code, std::string_view message,
                            std::uint64_t trace_id) {
-  std::ostringstream os;
-  os << "{\"type\":\"error\",\"code\":\"";
-  obs::json_escape(os, code);
-  os << "\",\"message\":\"";
-  obs::json_escape(os, message);
-  os << "\"";
+  std::string out;
+  obs::json_put(out, "{\"type\":\"error\",\"code\":", code);
+  obs::json_put(out, ",\"message\":", message);
   // 0 = no trace was minted (the frame never parsed); otherwise the id
   // joins this failure against the server's request log.
-  if (trace_id != 0) os << ",\"trace_id\":" << trace_id;
-  os << "}";
-  return os.str();
+  if (trace_id != 0) obs::json_put(out, ",\"trace_id\":", trace_id);
+  out += '}';
+  return out;
 }
 
 std::string stats_response(const obs::MetricsSnapshot& snapshot) {
-  std::ostringstream os;
-  os << "{\"type\":\"stats\",\"metrics\":";
-  obs::MetricsExporter::write_json(os, snapshot);
-  os << "}";
-  return os.str();
+  std::string out = "{\"type\":\"stats\",\"metrics\":";
+  obs::MetricsExporter::append_json(out, snapshot);
+  out += '}';
+  return out;
 }
 
-std::string sweep_response(std::vector<dse::SweepResult> results,
+std::string sweep_response(const std::vector<dse::SweepResult>& results,
                            const std::vector<std::uint64_t>& keys,
                            std::uint64_t salt, std::uint64_t trace_id) {
-  std::ostringstream os;
-  os << "{\"type\":\"sweep_result\",";
-  // 0 = untraced (direct protocol users); the server always mints one.
-  if (trace_id != 0) os << "\"trace_id\":" << trace_id << ",";
-  os << "\"points\":[";
+  std::string out = "{\"type\":\"sweep_result\",";
+  put_trace_id(out, trace_id);
+  out += "\"points\":[";
   for (std::size_t i = 0; i < results.size(); ++i) {
-    dse::SweepResult& r = results[i];
-    if (i > 0) os << ",";
-    os << "{\"from_cache\":" << (r.from_cache ? "true" : "false")
-       << ",\"coalesced\":" << (r.coalesced ? "true" : "false")
-       << ",\"wall_seconds\":";
-    obs::json_number(os, r.wall_seconds, 17);
-    os << ",\"entry\":";
-    // The point's result and metrics move into the entry: `results` is
-    // this function's own copy. to_json writes only the per-kind counts,
-    // never the host-dependent seconds.
-    dse::ResultCache::Entry entry;
-    entry.result = std::move(r.result);
-    entry.metrics = std::move(r.metrics);
-    entry.events = r.events;
-    entry.event_kinds = r.event_kinds;
-    std::string entry_json = dse::ResultCache::to_json(keys[i], salt, entry);
-    while (!entry_json.empty() && entry_json.back() == '\n') {
-      entry_json.pop_back();
-    }
-    os << entry_json << "}";
+    const dse::SweepResult& r = results[i];
+    if (i > 0) out += ',';
+    out += r.from_cache ? "{\"from_cache\":true" : "{\"from_cache\":false";
+    out += r.coalesced ? ",\"coalesced\":true" : ",\"coalesced\":false";
+    obs::json_put(out, ",\"wall_seconds\":", r.wall_seconds, 17);
+    out += ",\"entry\":";
+    // The cache entry object, written from the point's own fields: only
+    // the per-kind counts, never the host-dependent seconds.
+    dse::ResultCache::append_json(out, keys[i], salt, r.result, r.metrics,
+                                  r.events, r.event_kinds);
+    out += '}';
   }
-  os << "]}";
-  return os.str();
+  out += "]}";
+  return out;
 }
 
 std::string search_response(const dse::SearchResult& result,
                             std::uint64_t trace_id) {
-  std::ostringstream os;
-  os << "{\"type\":\"search_result\",";
-  // 0 = untraced (direct protocol users); the server always mints one.
-  if (trace_id != 0) os << "\"trace_id\":" << trace_id << ",";
-  os << "\"simulated\":" << result.simulated
-     << ",\"cache_hits\":" << result.cache_hits
-     << ",\"coalesced\":" << result.coalesced << ",\"wall_seconds\":";
-  obs::json_number(os, result.wall_seconds, 17);
-  os << ",\"result\":" << dse::search_result_json(result) << "}";
-  return os.str();
+  std::string out = "{\"type\":\"search_result\",";
+  put_trace_id(out, trace_id);
+  obs::json_put(out, "\"simulated\":", result.simulated);
+  obs::json_put(out, ",\"cache_hits\":", result.cache_hits);
+  obs::json_put(out, ",\"coalesced\":", result.coalesced);
+  obs::json_put(out, ",\"wall_seconds\":", result.wall_seconds, 17);
+  out += ",\"result\":";
+  dse::append_search_result_json(out, result);
+  out += '}';
+  return out;
 }
 
 }  // namespace ara::serve::protocol

@@ -143,7 +143,7 @@ std::string pong_response();
 /// echoed so the failure can be joined against the server's request log.
 std::string error_response(std::string_view code, std::string_view message,
                            std::uint64_t trace_id = 0);
-/// {"type":"stats","metrics":{...}} via MetricsExporter::write_json.
+/// {"type":"stats","metrics":{...}} via MetricsExporter::append_json.
 std::string stats_response(const obs::MetricsSnapshot& snapshot);
 /// Sweep response: per-point flags plus the ResultCache entry object for
 /// each result. `keys` are the content-hash keys aligned with `results`;
@@ -151,9 +151,9 @@ std::string stats_response(const obs::MetricsSnapshot& snapshot);
 /// `trace_id` is echoed as "trace_id" so a client can correlate its
 /// response with the server's request log; it never affects the entry
 /// objects (the bit-identity contract covers entries, not envelope).
-/// `results` is taken by value so a caller that is done with it can move
-/// it in, and no point's result or metrics is copied.
-std::string sweep_response(std::vector<dse::SweepResult> results,
+/// Each point is written straight into the one response string; no
+/// point's result or metrics is copied.
+std::string sweep_response(const std::vector<dse::SweepResult>& results,
                            const std::vector<std::uint64_t>& keys,
                            std::uint64_t salt, std::uint64_t trace_id = 0);
 /// Search response: warmth telemetry in the envelope, the deterministic

@@ -175,7 +175,7 @@ std::string Server::execute_sweep(const protocol::Request& request,
       }
     }
     obs::ScopedSpan serialize_span(trace, obs::Phase::kSerialize);
-    return protocol::sweep_response(std::move(results), keys, cache_.salt(),
+    return protocol::sweep_response(results, keys, cache_.salt(),
                                     trace != nullptr ? trace->id : 0);
   } catch (const ConfigError& e) {
     if (trace != nullptr) {

@@ -72,23 +72,27 @@ Tick SharedLink::submit(Tick ready_at, Bytes bytes) {
   total_bytes_ += bytes;
   ++transfers_;
   if (start > high_watermark_) high_watermark_ = start;
-  if (busy_.size() > kCompactThreshold) compact();
+  // compact()'s precondition, tested here: a large store almost never
+  // holds an interval that ended a horizon ago, so the call is skipped.
+  if (busy_.size() > kCompactThreshold &&
+      high_watermark_ >= kCompactHorizon &&
+      busy_.front().end <= high_watermark_ - kCompactHorizon) {
+    compact();
+  }
   return end + latency_;
 }
 
 void SharedLink::compact() {
-  if (high_watermark_ < kCompactHorizon) return;
   const Tick cutoff = high_watermark_ - kCompactHorizon;
   // Replace the prefix of intervals ending by `cutoff` with one blocker
   // interval from the first expired start to the cutoff (or to the first
   // live interval, if that starts earlier). Intervals are sorted and
   // disjoint, so the blocker is never empty; it is not merged with the
   // live interval it may touch.
-  auto expired_end = busy_.begin();
+  auto expired_end = std::next(busy_.begin());  // the front has expired
   while (expired_end != busy_.end() && expired_end->end <= cutoff) {
     ++expired_end;
   }
-  if (expired_end == busy_.begin()) return;
   const Tick blocker_start = busy_.front().start;
   const Tick blocker_end = expired_end == busy_.end()
                                ? cutoff

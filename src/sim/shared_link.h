@@ -79,6 +79,9 @@ class SharedLink {
     Tick end;
   };
 
+  /// Collapse the expired prefix into one blocker. Requires a front
+  /// interval that ended kCompactHorizon or more before the high
+  /// watermark; submit() tests that before calling.
   void compact();
 
   std::string name_;

@@ -4,7 +4,16 @@
 // deterministic metrics under the parallel sweep executor).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <random>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/arch_config.h"
 #include "core/system.h"
@@ -16,6 +25,167 @@
 
 namespace ara {
 namespace {
+
+// ---- JSON writers ----
+
+/// The writers' reference: the byte-by-byte switch the stream writer used,
+/// with printf for the \u escapes.
+std::string reference_escape(std::string_view s) {
+  std::string out;
+  for (const char raw : s) {
+    const auto c = static_cast<unsigned char>(raw);
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\b':
+        out += "\\b";
+        break;
+      case '\f':
+        out += "\\f";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (c < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += raw;
+        }
+    }
+  }
+  return out;
+}
+
+std::string reference_number(double v, int digits) {
+  if (!std::isfinite(v)) return "0";
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.*g", digits, v);
+  return buf;
+}
+
+std::string number(double v, int digits) {
+  std::string out;
+  obs::json_number(out, v, digits);
+  return out;
+}
+
+std::string escaped(std::string_view s) {
+  std::string out;
+  obs::json_escape(out, s);
+  return out;
+}
+
+TEST(JsonWriter, NumberEqualsPrintfForRandomBitPatterns) {
+  // Every bit pattern is fair game: subnormals, huge exponents, NaN/Inf
+  // payloads (which both sides write as 0).
+  std::mt19937_64 rng(20141);
+  for (int i = 0; i < 100000; ++i) {
+    const double v = std::bit_cast<double>(rng());
+    for (const int digits : {12, 17}) {
+      ASSERT_EQ(number(v, digits), reference_number(v, digits))
+          << std::hexfloat << v << " at " << digits << " digits";
+    }
+  }
+}
+
+TEST(JsonWriter, NumberEqualsPrintfAtTheEdges) {
+  using limits = std::numeric_limits<double>;
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                limits::denorm_min(),
+                                -limits::denorm_min(),
+                                limits::min(),
+                                std::nextafter(limits::min(), 0.0),
+                                limits::max(),
+                                -limits::max(),
+                                limits::epsilon(),
+                                1e21,
+                                1e-5,
+                                123456789012.0,
+                                999999999999.5,
+                                99999999999999999.0};
+  for (int e = 0; e <= 53; ++e) {
+    const double p = std::ldexp(1.0, e);
+    values.insert(values.end(), {p, p - 1, p + 1, -p});
+  }
+  for (int n = 1; n <= 99; ++n) {
+    values.push_back(n / 10.0);   // 0.1-style decimals
+    values.push_back(n / 100.0);
+    values.push_back(n / 3.0);
+  }
+  values.push_back(0.1 + 0.2);
+  for (const double v : values) {
+    for (const int digits : {1, 6, 9, 12, 17}) {
+      EXPECT_EQ(number(v, digits), reference_number(v, digits))
+          << std::hexfloat << v << " at " << digits << " digits";
+    }
+  }
+}
+
+TEST(JsonWriter, NonFiniteNumbersBecomeZero) {
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         -std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::signaling_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(number(v, 17), "0");
+    EXPECT_EQ(number(v, 12), "0");
+  }
+}
+
+TEST(JsonWriter, UintIsDecimal) {
+  for (const std::uint64_t v :
+       {std::uint64_t{0}, std::uint64_t{7}, std::uint64_t{1} << 53,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    std::string out = "x";
+    obs::json_uint(out, v);
+    EXPECT_EQ(out, "x" + std::to_string(v));
+  }
+}
+
+TEST(JsonWriter, EscapeEqualsReferenceForEverySingleByte) {
+  for (int b = 0; b < 256; ++b) {
+    const std::string s(1, static_cast<char>(b));
+    EXPECT_EQ(escaped(s), reference_escape(s)) << "byte " << b;
+  }
+}
+
+TEST(JsonWriter, EscapeEqualsReferenceForMixedStrings) {
+  std::vector<std::string> cases = {
+      "",
+      "plain.stat.name",
+      "\"quoted\" and \\backslashed\\",
+      std::string("nul\0inside", 10),
+      "tab\tnew\nline\rcr\x01\x1f\x7f",
+      "\xc3\xa9 UTF-8 and \xff raw",
+      "\"\"\\\\",
+      "trailing escape\n",
+      "\nleading escape"};
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 2000; ++i) {
+    std::string s(rng() % 40, '\0');
+    for (char& c : s) c = static_cast<char>(rng());
+    cases.push_back(std::move(s));
+  }
+  for (const std::string& s : cases) {
+    std::string out = "prefix:";
+    obs::json_escape(out, s);
+    EXPECT_EQ(out, "prefix:" + reference_escape(s));
+  }
+}
 
 // ---- json_check ----
 

@@ -517,6 +517,40 @@ TEST(ResultCache, PackedMemoryTierKeepsSpecialValuesBitExact) {
   expect_memory_round_trip(e);
 }
 
+TEST(ResultCache, SharedNameListsKeepEachEntrysOwnNames) {
+  // The memory tier shares one stat-name list among entries of the same
+  // shape; entries with other names, or the same names split differently
+  // across stat kinds, must still come back exactly as inserted.
+  auto entry = [](std::vector<obs::CounterSample> counters,
+                  std::vector<obs::AccumulatorSample> accumulators,
+                  std::uint64_t events) {
+    ResultCache::Entry e;
+    e.result.workload = "w" + std::to_string(events);
+    e.events = events;
+    e.metrics.counters = std::move(counters);
+    e.metrics.accumulators = std::move(accumulators);
+    return e;
+  };
+  const std::vector<ResultCache::Entry> entries = {
+      entry({{"x", 1}, {"y", 2}}, {}, 1),
+      entry({{"x", 3}, {"y", 4}}, {}, 2),      // same names: shares a list
+      entry({{"x", 5}, {"z", 6}}, {}, 3),      // same size, other names
+      entry({{"x", 7}}, {{"y", 0.5, 1, 0.5, 0.5, 0.5}}, 4),  // other split
+      entry({{"xy", 8}}, {}, 5),
+      entry({}, {}, 6)};
+  ResultCache cache;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    cache.insert(100 + i, entries[i]);
+  }
+  cache.insert(100, entries[0]);  // overwriting keeps the entry whole
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    ResultCache::Entry hit;
+    ASSERT_TRUE(cache.lookup(100 + i, &hit));
+    EXPECT_EQ(ResultCache::to_json(100 + i, kSimVersionSalt, hit),
+              ResultCache::to_json(100 + i, kSimVersionSalt, entries[i]));
+  }
+}
+
 TEST(ConfigDigest, CanonicalTextCoversConfigFields) {
   const auto base = core::ArchConfig::paper_baseline(6);
   core::ArchConfig tweaked = base;

@@ -34,7 +34,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 
@@ -248,27 +247,23 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    std::ostringstream os;
-    os << "{\"v\":" << serve::protocol::kProtocolVersion
-       << ",\"type\":\"search\",\"workload\":\"";
-    obs::json_escape(os, search_bench);
-    os << "\",\"objective\":\"";
-    obs::json_escape(os, objective);
-    os << "\",\"budget\":" << budget << ",\"seed\":" << seed
-       << ",\"scale\":";
-    obs::json_number(os, scale, 17);
-    os << "}";
-    request = os.str();
+    request.clear();
+    obs::json_put(request, "{\"v\":", serve::protocol::kProtocolVersion);
+    obs::json_put(request, ",\"type\":", "search");
+    obs::json_put(request, ",\"workload\":", search_bench);
+    obs::json_put(request, ",\"objective\":", objective);
+    obs::json_put(request, ",\"budget\":", budget);
+    obs::json_put(request, ",\"seed\":", seed);
+    obs::json_put(request, ",\"scale\":", scale, 17);
+    request += '}';
   }
   if (!client_name.empty() && !user_json) {
     // Stamp the request with the protocol's optional "client" identity
     // field so server-side traces attribute it to this invocation. User
     // --json frames are sent as written (they may carry their own).
-    std::ostringstream os;
-    os << "{\"client\":\"";
-    obs::json_escape(os, client_name);
-    os << "\",";
-    request = os.str() + request.substr(request.find('{') + 1);
+    std::string stamped;
+    obs::json_put(stamped, "{\"client\":", client_name);
+    request = stamped + "," + request.substr(request.find('{') + 1);
   }
   if (!raw) {
     // Same registry the server dispatches on: reject locally what the
